@@ -4,15 +4,63 @@
 
 namespace palette {
 
+FaastCache::Shard::Shard(Bytes capacity) : lru(capacity) {
+  lru.set_eviction_hook(
+      [this](const std::string& name, Bytes size) { Unindex(name, size); });
+}
+
+void FaastCache::Shard::Put(const std::string& name, Bytes size) {
+  const bool resident = lru.Contains(name);
+  const Bytes old_size = resident ? lru.SizeOf(name) : 0;
+  if (!lru.Put(name, size)) {
+    return;
+  }
+  // Find the key's entry only after the put, whose evictions may erase
+  // entries (this key's included, for a new object). A resized object
+  // stays resident as the MRU entry, so its key's entry survives.
+  const std::string_view key = HashKeyOf(name);
+  auto it = keys.find(key);
+  if (it == keys.end()) {
+    it = keys.emplace(std::string(key), KeyFootprint{}).first;
+  }
+  it->second.bytes = it->second.bytes - old_size + size;
+  if (!resident) {
+    ++it->second.objects;
+  }
+}
+
+bool FaastCache::Shard::Erase(const std::string& name) {
+  const Bytes size = lru.SizeOf(name);
+  if (!lru.Erase(name)) {
+    return false;
+  }
+  Unindex(name, size);
+  return true;
+}
+
+void FaastCache::Shard::Unindex(std::string_view name, Bytes size) {
+  const auto it = keys.find(HashKeyOf(name));
+  assert(it != keys.end() && "resident object missing from the key index");
+  it->second.bytes -= size;
+  if (--it->second.objects == 0) {
+    keys.erase(it);
+  }
+}
+
 FaastCache::FaastCache(FaastCacheConfig config) : config_(config) {}
+
+const FaastCache::Shard* FaastCache::FindShard(
+    const std::string& instance) const {
+  const auto it = shards_.find(instance);
+  return it == shards_.end() ? nullptr : &it->second;
+}
 
 void FaastCache::AddInstance(const std::string& instance) {
   if (shards_.count(instance) > 0) {
     return;
   }
   ring_.AddMember(instance);
-  shards_.emplace(instance,
-                  std::make_unique<LruCache>(config_.per_instance_capacity));
+  shards_.try_emplace(instance, config_.per_instance_capacity);
 }
 
 void FaastCache::RemoveInstance(const std::string& instance) {
@@ -50,7 +98,7 @@ std::string FaastCache::Put(const std::string& producer,
     // (nominal) home so the caller's transfer is a local no-op.
     return producer;
   }
-  shards_.at(*home)->Put(object_name, size);
+  shards_.at(*home).Put(object_name, size);
   put_bytes_ += size;
   return *home;
 }
@@ -68,7 +116,7 @@ std::string FaastCache::PutReplicated(const std::string& producer,
     if (it == shards_.end()) {
       continue;  // replica died; nothing lands, nothing is counted
     }
-    it->second->Put(object_name, size);
+    it->second.Put(object_name, size);
     put_bytes_ += size;
     replicated_bytes_ += size;
   }
@@ -79,14 +127,14 @@ void FaastCache::PutLocal(const std::string& instance,
                           const std::string& object_name, Bytes size) {
   auto it = shards_.find(instance);
   assert(it != shards_.end() && "unknown instance");
-  it->second->Put(object_name, size);
+  it->second.Put(object_name, size);
   put_bytes_ += size;
 }
 
 bool FaastCache::ContainsLocal(const std::string& instance,
                                const std::string& object_name) const {
-  const auto it = shards_.find(instance);
-  return it != shards_.end() && it->second->Contains(object_name);
+  const Shard* shard = FindShard(instance);
+  return shard != nullptr && shard->lru.Contains(object_name);
 }
 
 CacheLookup FaastCache::Get(const std::string& reader,
@@ -94,22 +142,23 @@ CacheLookup FaastCache::Get(const std::string& reader,
   auto reader_it = shards_.find(reader);
   assert(reader_it != shards_.end() && "unknown reader instance");
 
-  if (reader_it->second->Get(object_name)) {
+  Shard& reader_shard = reader_it->second;
+  if (reader_shard.lru.Get(object_name)) {
     ++local_hits_;
-    const Bytes size = reader_it->second->SizeOf(object_name);
+    const Bytes size = reader_shard.lru.SizeOf(object_name);
     local_hit_bytes_ += size;
     return CacheLookup{CacheOutcome::kLocalHit, reader, size};
   }
 
   const auto home = HomeInstance(object_name);
   if (home.has_value() && *home != reader) {
-    auto home_it = shards_.find(*home);
-    if (home_it != shards_.end() && home_it->second->Contains(object_name)) {
+    const Shard* home_shard = FindShard(*home);
+    if (home_shard != nullptr && home_shard->lru.Contains(object_name)) {
       ++remote_hits_;
-      const Bytes size = home_it->second->SizeOf(object_name);
+      const Bytes size = home_shard->lru.SizeOf(object_name);
       remote_hit_bytes_ += size;
       if (config_.replicate_on_remote_hit) {
-        reader_it->second->Put(object_name, size);
+        reader_shard.Put(object_name, size);
         put_bytes_ += size;
         replicated_bytes_ += size;
       }
@@ -123,24 +172,27 @@ CacheLookup FaastCache::Get(const std::string& reader,
 
 void FaastCache::Invalidate(const std::string& object_name) {
   for (auto& [_, shard] : shards_) {
-    shard->Erase(object_name);
+    shard.Erase(object_name);
   }
 }
 
 void FaastCache::ForEachObject(
     const std::string& instance,
     const std::function<void(const std::string&, Bytes)>& fn) const {
-  const auto it = shards_.find(instance);
-  if (it == shards_.end()) {
-    return;
+  const Shard* shard = FindShard(instance);
+  if (shard != nullptr) {
+    shard->lru.ForEach(fn);
   }
-  it->second->ForEach(fn);
 }
 
 std::vector<FaastCache::ResidentObject> FaastCache::PeekKeyObjects(
     const std::string& instance, std::string_view key) const {
   std::vector<ResidentObject> objects;
-  ForEachObject(instance, [&](const std::string& name, Bytes size) {
+  const Shard* shard = FindShard(instance);
+  if (shard == nullptr || !shard->keys.contains(key)) {
+    return objects;
+  }
+  shard->lru.ForEach([&](const std::string& name, Bytes size) {
     if (HashKeyOf(name) == key) {
       objects.push_back(ResidentObject{name, size});
     }
@@ -148,39 +200,44 @@ std::vector<FaastCache::ResidentObject> FaastCache::PeekKeyObjects(
   return objects;
 }
 
+Bytes FaastCache::KeyBytes(const std::string& instance,
+                           std::string_view key) const {
+  const Shard* shard = FindShard(instance);
+  if (shard == nullptr) {
+    return 0;
+  }
+  const auto it = shard->keys.find(key);
+  return it == shard->keys.end() ? 0 : it->second.bytes;
+}
+
 bool FaastCache::HasKeyObject(const std::string& instance,
                               std::string_view key) const {
-  const auto it = shards_.find(instance);
-  if (it == shards_.end()) {
-    return false;
-  }
-  return it->second->AnyOf([key](const std::string& name, Bytes) {
-    return HashKeyOf(name) == key;
-  });
+  const Shard* shard = FindShard(instance);
+  return shard != nullptr && shard->keys.contains(key);
 }
 
 bool FaastCache::EraseLocal(const std::string& instance,
                             const std::string& object_name) {
   const auto it = shards_.find(instance);
-  return it != shards_.end() && it->second->Erase(object_name);
+  return it != shards_.end() && it->second.Erase(object_name);
 }
 
 Bytes FaastCache::shard_used_bytes(const std::string& instance) const {
-  auto it = shards_.find(instance);
-  return it == shards_.end() ? 0 : it->second->used_bytes();
+  const Shard* shard = FindShard(instance);
+  return shard == nullptr ? 0 : shard->lru.used_bytes();
 }
 
 std::uint64_t FaastCache::total_evictions() const {
   std::uint64_t total = 0;
   for (const auto& [_, shard] : shards_) {
-    total += shard->evictions();
+    total += shard.lru.evictions();
   }
   return total;
 }
 
 std::uint64_t FaastCache::shard_evictions(const std::string& instance) const {
-  auto it = shards_.find(instance);
-  return it == shards_.end() ? 0 : it->second->evictions();
+  const Shard* shard = FindShard(instance);
+  return shard == nullptr ? 0 : shard->lru.evictions();
 }
 
 }  // namespace palette

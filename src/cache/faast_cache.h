@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "src/cache/lru_cache.h"
+#include "src/common/string_hash.h"
 #include "src/common/types.h"
 #include "src/hash/consistent_hash_ring.h"
 
@@ -123,11 +123,16 @@ class FaastCache {
       const std::string& instance,
       const std::function<void(const std::string&, Bytes)>& fn) const;
   // Objects in `instance`'s shard whose hashing key equals `key` — i.e. a
-  // color's migratable cache footprint on that instance.
+  // color's migratable cache footprint on that instance — in MRU order.
+  // Walks the shard only when the key index says the key is resident.
   std::vector<ResidentObject> PeekKeyObjects(const std::string& instance,
                                              std::string_view key) const;
+  // Bytes resident in `instance`'s shard under hashing key `key` (the sum
+  // of PeekKeyObjects' sizes), read from the shard's key index in O(1).
+  // The planner's snapshot prices every color's move with it.
+  Bytes KeyBytes(const std::string& instance, std::string_view key) const;
   // True iff at least one object with hashing key `key` is resident in
-  // `instance`'s shard. Early-out scan; never touches recency or stats
+  // `instance`'s shard. An index lookup; never touches recency or stats
   // (the pull-dispatch claim path probes residency per idle worker).
   bool HasKeyObject(const std::string& instance, std::string_view key) const;
   // Removes one object from `instance`'s shard only (migration source-side
@@ -154,9 +159,37 @@ class FaastCache {
   const FaastCacheConfig& config() const { return config_; }
 
  private:
+  // The objects of one hashing key resident in a shard.
+  struct KeyFootprint {
+    Bytes bytes = 0;
+    std::size_t objects = 0;
+  };
+  // One instance's cache shard: its LRU plus an index from hashing key to
+  // that key's resident footprint. Every change to the LRU goes through
+  // Put/Erase here or through LRU eviction, which the eviction hook
+  // reports, so the index is always exact. Pinned in place: the hook
+  // points back at the shard.
+  struct Shard {
+    explicit Shard(Bytes capacity);
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
+    // Inserts or resizes `name`; a put the LRU does not admit changes
+    // nothing.
+    void Put(const std::string& name, Bytes size);
+    bool Erase(const std::string& name);
+    void Unindex(std::string_view name, Bytes size);
+
+    LruCache lru;
+    std::unordered_map<std::string, KeyFootprint, TransparentStringHash,
+                       std::equal_to<>>
+        keys;
+  };
+  const Shard* FindShard(const std::string& instance) const;
+
   FaastCacheConfig config_;
   ConsistentHashRing ring_;
-  std::unordered_map<std::string, std::unique_ptr<LruCache>> shards_;
+  std::unordered_map<std::string, Shard> shards_;
   std::uint64_t local_hits_ = 0;
   std::uint64_t remote_hits_ = 0;
   std::uint64_t misses_ = 0;

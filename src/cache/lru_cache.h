@@ -58,24 +58,12 @@ class LruCache {
   }
 
   // Visits every resident (key, size) from most- to least-recently used
-  // without touching recency or stats. Used by the planner's snapshot
-  // collector to size per-color cache footprints.
+  // without touching recency or stats. Used by planner migration to list a
+  // color's cached objects in recency order.
   void ForEach(const std::function<void(const std::string&, Bytes)>& fn) const {
     for (const Entry& entry : lru_) {
       fn(entry.key, entry.size);
     }
-  }
-
-  // Early-out scan: true iff any entry satisfies `pred`. Touches neither
-  // recency nor stats (pull-dispatch residency probes run on the claim
-  // path, which must not perturb eviction order).
-  bool AnyOf(const std::function<bool(const std::string&, Bytes)>& pred) const {
-    for (const Entry& entry : lru_) {
-      if (pred(entry.key, entry.size)) {
-        return true;
-      }
-    }
-    return false;
   }
 
  private:

@@ -46,15 +46,11 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
     const auto placement = lb.PeekColorId(*name);
     if (placement.has_value()) {
       obs.placement = *placement;
-      Bytes footprint = 0;
-      for (const auto& object :
-           platform.cache().PeekKeyObjects(InstanceName(*placement), *name)) {
-        footprint += object.size;
-      }
-      obs.cache_bytes = footprint;
+      const std::string& home = InstanceName(*placement);
+      obs.cache_bytes = platform.cache().KeyBytes(home, *name);
       if (platform.storage_layer() != nullptr) {
-        obs.dirty_bytes = platform.storage_layer()->DirtyBytesOwnedBy(
-            InstanceName(*placement), *name);
+        obs.dirty_bytes =
+            platform.storage_layer()->DirtyBytesOwnedBy(home, *name);
       }
     }
     obs.split = lb.IsSplit(*name);

@@ -3,6 +3,33 @@
 #include <algorithm>
 
 namespace palette {
+namespace {
+
+// Visits, in name order, every directory entry whose hashing key is
+// exactly `key`. Such a name is either `key` itself or starts with
+// `key` + kHashKeyToken, and the ordered directory keeps each of the two
+// groups contiguous, so the walk costs O(log n + k) instead of a pass over
+// the whole directory. The bare name sorts before its "___" range, so the
+// visit order is the full scan's order restricted to this key. A matched
+// text prefix is not enough on its own (for "c_", the name "c____y" has
+// hashing key "c"), hence the HashKeyOf check on each visited entry.
+template <typename Directory, typename Fn>
+void ForEachKeyEntry(Directory& objects, std::string_view key, Fn fn) {
+  std::string bound(key);
+  const auto bare = objects.find(bound);
+  if (bare != objects.end() && FaastCache::HashKeyOf(bare->first) == key) {
+    fn(bare->first, bare->second);
+  }
+  bound += kHashKeyToken;
+  for (auto it = objects.lower_bound(bound);
+       it != objects.end() && it->first.starts_with(bound); ++it) {
+    if (FaastCache::HashKeyOf(it->first) == key) {
+      fn(it->first, it->second);
+    }
+  }
+}
+
+}  // namespace
 
 StorageLayer::StorageLayer(Simulator* sim, Network* network, FaastCache* cache,
                            StorageConfig config, std::string storage_node)
@@ -275,22 +302,23 @@ void StorageLayer::Flush(const std::string& from, const std::string& name,
 
 void StorageLayer::FlushKeyOwned(const std::string& instance,
                                  std::string_view key) {
-  for (auto& [name, obj] : objects_) {
-    if (obj.owner == instance && obj.pending_writes > 0 &&
-        FaastCache::HashKeyOf(name) == key) {
-      Flush(instance, name, obj);
-    }
-  }
+  ForEachKeyEntry(objects_, key,
+                  [&](const std::string& name, ObjectState& obj) {
+                    if (obj.owner == instance && obj.pending_writes > 0) {
+                      Flush(instance, name, obj);
+                    }
+                  });
 }
 
 Bytes StorageLayer::DirtyBytesOwnedBy(const std::string& instance,
                                       std::string_view key) const {
   Bytes total = 0;
-  for (const auto& [name, obj] : objects_) {
-    if (obj.owner == instance && FaastCache::HashKeyOf(name) == key) {
-      total += obj.pending_bytes;
-    }
-  }
+  ForEachKeyEntry(objects_, key,
+                  [&](const std::string&, const ObjectState& obj) {
+                    if (obj.owner == instance) {
+                      total += obj.pending_bytes;
+                    }
+                  });
   return total;
 }
 

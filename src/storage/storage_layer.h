@@ -92,12 +92,13 @@ class StorageLayer {
                   const std::vector<std::string>& fresh, SimTime done);
 
   // Flushes dirty objects owned by `instance` whose hashing key equals
-  // `key` (planner migration: dirty bytes become durable before the cached
-  // copy moves).
+  // `key`, in name order (planner migration: dirty bytes become durable
+  // before the cached copy moves). Walks only the key's name range.
   void FlushKeyOwned(const std::string& instance, std::string_view key);
 
   // Dirty write-back bytes owned by `instance` under hashing key `key`
-  // (planner snapshot: moving a dirty color costs a flush first).
+  // (planner snapshot: moving a dirty color costs a flush first). Walks
+  // only the key's name range: O(log n + the key's objects).
   Bytes DirtyBytesOwnedBy(const std::string& instance,
                           std::string_view key) const;
   Bytes total_dirty_bytes() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace palette {
@@ -33,12 +34,17 @@ OpenLoopDriver::OpenLoopDriver(Simulator* sim,
       rng_(seed) {}
 
 void OpenLoopDriver::Start() {
-  // Reserve from the offered rate so steady-state arrival recording does
-  // not reallocate mid-run (samples_ may still grow past this).
+  // Reserve the offered count plus six standard deviations of a Poisson
+  // count over the run, so arrival recording does not reallocate mid-run.
+  // The mean alone is exceeded on about half of all seeds, and the vector
+  // would then double (samples_ may still grow past this reserve).
   const double expected =
       arrivals_->rate_per_sec() * config_.duration.seconds();
+  const double headroom = std::ceil(6.0 * std::sqrt(expected));
   samples_.reserve(std::min<std::uint64_t>(
-      config_.max_invocations, static_cast<std::uint64_t>(expected) + 16));
+      config_.max_invocations,
+      static_cast<std::uint64_t>(expected) +
+          static_cast<std::uint64_t>(headroom) + 16));
   ScheduleNext();
 }
 

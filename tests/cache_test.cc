@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/cache/faast_cache.h"
@@ -494,6 +495,104 @@ TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
   const auto lookup = cache.Get(reader, "plain-object");
   EXPECT_EQ(lookup.outcome, CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 30u);
+}
+
+// The per-shard hashing-key index (KeyBytes, HasKeyObject) must agree with
+// a brute-force scan of the shard after every kind of shard change,
+// including LRU evictions, size refreshes, rejected puts and membership
+// churn.
+TEST(FaastCacheTest, KeyIndexMatchesBruteForceScanUnderRandomOps) {
+  FaastCacheConfig config;
+  config.per_instance_capacity = 300;  // small: evictions are frequent
+  config.replicate_on_remote_hit = true;
+  FaastCache cache(config);
+  const std::vector<std::string> instances = {"w0", "w1", "w2", "w3"};
+  for (const std::string& w : instances) {
+    cache.AddInstance(w);
+  }
+  // "k1__x" has two underscores only, so its hashing key is the whole
+  // name; a bare "k1" is its own hashing key too.
+  const std::vector<std::string> names = {
+      "w0___a", "w0___b", "w1___a",  "w1___b", "w2___a", "w3___a",
+      "k1___a", "k1___b", "k10___a", "k1",     "k1__x",  "w2"};
+  const std::vector<std::string> keys = {"w0",  "w1",    "w2", "w3",    "k1",
+                                         "k10", "k1__x", "k",  "absent"};
+  // "w9" never joins: every probe of it must read empty.
+  const std::vector<std::string> probed = {"w0", "w1", "w2", "w3", "w9"};
+  const auto check = [&](int step) {
+    for (const std::string& instance : probed) {
+      for (const std::string& key : keys) {
+        Bytes bytes = 0;
+        bool any = false;
+        cache.ForEachObject(instance, [&](const std::string& name, Bytes size) {
+          if (FaastCache::HashKeyOf(name) == key) {
+            bytes += size;
+            any = true;
+          }
+        });
+        ASSERT_EQ(cache.KeyBytes(instance, key), bytes)
+            << "step " << step << " " << instance << " " << key;
+        ASSERT_EQ(cache.HasKeyObject(instance, key), any)
+            << "step " << step << " " << instance << " " << key;
+      }
+    }
+  };
+
+  Rng rng(20231);
+  const auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng.NextBelow(from.size())];
+  };
+  const auto size = [&rng]() -> Bytes {
+    // Mostly fitting sizes; occasionally one larger than the whole shard,
+    // which the LRU refuses to admit.
+    return rng.NextBelow(20) == 0 ? 400 : 10 + rng.NextBelow(140);
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const std::string instance = pick(instances);
+    const std::string name = pick(names);
+    switch (rng.NextBelow(8)) {
+      case 0:
+        cache.Put(instance, name, size());
+        break;
+      case 1:
+        cache.PutReplicated(instance, name, size(),
+                            {pick(instances), pick(instances), "w9"});
+        break;
+      case 2:
+        cache.PutLocal(instance, name, size());
+        break;
+      case 3:
+        cache.Get(instance, name);
+        break;
+      case 4: {
+        // Same-name size refresh of an object resident in this shard.
+        std::vector<std::string> resident;
+        cache.ForEachObject(instance, [&](const std::string& n, Bytes) {
+          resident.push_back(n);
+        });
+        if (!resident.empty()) {
+          cache.PutLocal(instance, pick(resident), size());
+        }
+        break;
+      }
+      case 5:
+        cache.Invalidate(name);
+        break;
+      case 6:
+        cache.EraseLocal(instance, name);
+        break;
+      case 7:
+        cache.RemoveInstance(instance);
+        check(step);
+        cache.AddInstance(instance);
+        break;
+    }
+    check(step);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(cache.total_evictions(), 0u);
 }
 
 }  // namespace

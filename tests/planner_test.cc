@@ -11,6 +11,8 @@
 #include "src/core/least_assigned_policy.h"
 #include "src/core/palette_load_balancer.h"
 #include "src/planner/rebalance_planner.h"
+#include "src/router/router_tier.h"
+#include "src/storage/storage_types.h"
 #include "src/workload/fault_schedule.h"
 #include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
@@ -290,6 +292,52 @@ TEST(PlannerWorkloadTest, PlannerRunIsSeedReproducible) {
   EXPECT_EQ(a.planner_moves, b.planner_moves);
   EXPECT_EQ(a.planner_splits, b.planner_splits);
   EXPECT_EQ(a.planner_moved_bytes, b.planner_moved_bytes);
+}
+
+// A scaled-down all_features run (perfbench/harness/workloads.cc):
+// spraying routers, hybrid dispatch, write-back coherence on two tiers, a
+// rotating hot set, and a planner round every 500 ms. Each round prices
+// moves by every color's cached and dirty bytes, so the pinned digest and
+// planner counters fail loudly if the snapshot collector's per-color
+// footprints ever drift.
+TEST(PlannerWorkloadTest, AllFeaturesShapedRunPinsPlannerInputs) {
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kMmpp;
+  spec.arrival.rate_per_sec = 250;
+  spec.arrival.mean_on_seconds = 0.2;
+  spec.arrival.mean_off_seconds = 0.8;
+  spec.mix.color_count = 64;
+  spec.mix.zipf_theta = 0.9;
+  spec.mix.churn_interval = SimTime::FromSeconds(2);
+  spec.mix.churn_step = spec.mix.color_count / 8;
+  spec.mix.write_fraction = 0.2;
+  spec.driver.duration = SimTime::FromSeconds(8);
+  spec.seed = 1;
+  SloConfig slo;
+  slo.deadline = SimTime::FromMillis(100);
+  slo.warmup = SimTime::FromSeconds(1);
+  PlatformConfig platform = DefaultWorkloadPlatformConfig();
+  platform.dispatch_mode = FaasDispatchMode::kHybrid;
+  platform.storage.mode = CoherenceMode::kWriteBack;
+  platform.storage.tiers.two_tier = true;
+  // Writes stay dirty across a planner round, so every snapshot prices
+  // dirty bytes as well as cached ones.
+  platform.storage.max_dirty_age = SimTime::FromSeconds(1);
+  RouterTierConfig tier;
+  tier.routers = 4;
+  tier.dispatch = DispatchMode::kSpray;
+  PlannerConfig planner;
+  planner.plan_every = SimTime::FromMillis(500);
+  planner.seed = spec.seed;
+
+  const WorkloadRunResult run =
+      RunRouterWorkload(spec, PolicyKind::kLeastAssigned, 8, tier, slo,
+                        platform, nullptr, nullptr, &planner);
+  EXPECT_EQ(run.planner_rounds, 15u);
+  EXPECT_GT(run.storage.flushes, 0u);
+  EXPECT_EQ(run.samples_digest, 14331247114875850663u);
+  EXPECT_EQ(run.planner_moves, 123u);
+  EXPECT_EQ(run.planner_moved_bytes, 17399566u);
 }
 
 TEST(PlannerShardedTest, DigestsMatchAcrossShardCountsWithPlanning) {

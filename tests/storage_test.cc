@@ -5,6 +5,7 @@
 // counts and re-runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "src/cache/faast_cache.h"
 #include "src/common/table_printer.h"
 #include "src/faas/platform.h"
+#include "src/obs/trace.h"
 #include "src/router/router_tier.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -198,6 +200,70 @@ TEST(StorageLayerTest, GracefulLeaveFlushesDirtyDataFirst) {
   EXPECT_EQ(rig.layer.stats().writes_durable, 1u);
   EXPECT_EQ(rig.layer.stats().dirty_bytes_flushed, kObj);
   EXPECT_TRUE(rig.layer.stats().WriteBooksClose());
+}
+
+// DirtyBytesOwnedBy and FlushKeyOwned walk only the names that can carry
+// hashing key `key` ("key" itself and "key___*"). Neighbours in name order
+// must stay out: "c10___o0" shares the "c1" text prefix, and "c1__x" (two
+// underscores) hashes by its whole name.
+TEST(StorageLayerTest, KeyRangeWalkStopsAtPrefixBoundaries) {
+  StorageConfig config = ModeConfig(CoherenceMode::kWriteBack);
+  config.max_dirty_age = SimTime::FromSeconds(1);
+  LayerRig rig(config);
+  TraceRecorder trace;
+  rig.layer.set_trace_recorder(&trace);
+  struct Dirty {
+    const char* name;
+    const char* owner;
+    Bytes size;
+  };
+  const std::vector<Dirty> writes = {
+      {"c1___o1", "w0", 1},  {"c10___o0", "w0", 2}, {"c1", "w0", 4},
+      {"c1__x", "w0", 8},    {"c1___o0", "w0", 16}, {"c1____y", "w0", 32},
+      {"c1___o2", "w1", 64}, {"c0___o0", "w0", 128}};
+  for (const Dirty& w : writes) {
+    rig.cache.PutLocal(w.owner, w.name, w.size);
+    rig.layer.OnWrite(w.owner, w.owner, w.name, w.size, std::nullopt, {},
+                      rig.sim.Now());
+  }
+
+  // The old full scan, as a reference: every written name in name order,
+  // kept when w0 owns it and its hashing key is exactly "c1".
+  std::vector<std::string> expected;
+  Bytes expected_bytes = 0;
+  std::vector<Dirty> by_name = writes;
+  std::sort(by_name.begin(), by_name.end(), [](const Dirty& a, const Dirty& b) {
+    return std::string(a.name) < std::string(b.name);
+  });
+  for (const Dirty& w : by_name) {
+    if (std::string(w.owner) == "w0" && FaastCache::HashKeyOf(w.name) == "c1") {
+      expected.push_back(w.name);
+      expected_bytes += w.size;
+    }
+  }
+  ASSERT_EQ(expected,
+            (std::vector<std::string>{"c1", "c1____y", "c1___o0", "c1___o1"}));
+  EXPECT_EQ(expected_bytes, 4u + 32u + 16u + 1u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1"), expected_bytes);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w1", "c1"), 64u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c10"), 2u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1__x"), 8u);
+  // A key containing the token is nobody's hashing key, even though an
+  // object carries exactly that name.
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1___o0"), 0u);
+
+  rig.layer.FlushKeyOwned("w0", "c1");
+  std::vector<std::string> flushed;
+  for (const StorageTrace& op : trace.storage_ops()) {
+    if (op.op == StorageOp::kFlush) {
+      EXPECT_EQ(op.instance, "w0");
+      flushed.push_back(op.object);
+    }
+  }
+  EXPECT_EQ(flushed, expected);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1"), 0u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w1", "c1"), 64u);
+  EXPECT_EQ(rig.layer.total_dirty_bytes(), 64u + 2u + 8u + 128u);
 }
 
 TEST(StorageLayerTest, AntiEntropyReplayAfterRestartReachesLatestSeq) {
