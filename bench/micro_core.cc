@@ -234,12 +234,12 @@ double MeasureEventsPerSec(std::uint64_t n) {
   return static_cast<double>(sim.executed_events()) / seconds;
 }
 
-// Sharded engine A/B (docs/PERF.md, "Parallel engine"): the diurnal router
+// Sharded run A/B (docs/PERF.md, "Parallel engine"): the diurnal router
 // workload — open-loop diurnal arrivals into 8 router-fronted worker
-// groups — run on the sharded conservative-lookahead engine at shard
-// counts {1, 2, 4, 8}. The topology (groups, hop, routers) is fixed, only
-// the thread count varies, so every run must produce bit-identical
-// digests; a mismatch fails the binary so CI catches it.
+// groups, each group its own simulation — at shard (thread) counts
+// {1, 2, 4, 8}. The topology (groups, routers) is fixed, only the thread
+// count varies, so every run must produce bit-identical digests; a
+// mismatch fails the binary so CI catches it.
 struct ShardedPoint {
   int shards = 1;
   ShardedRunResult run;
@@ -439,18 +439,15 @@ bool WriteBenchCoreJson() {
     json.Double(sharded_eps / point.shards);
     json.Key("events");
     json.UInt(point.run.sim_events);
-    json.Key("epochs");
-    json.UInt(point.run.epochs);
     json.Key("engine_digest");
     json.String(StrFormat("%016llx", static_cast<unsigned long long>(
                                          point.run.engine_digest)));
     json.EndObject();
     std::printf(
         "sharded_events_per_sec (shards=%d): %.3e (%.3e/core, %llu events, "
-        "%llu epochs, digest %016llx)\n",
+        "digest %016llx)\n",
         point.shards, sharded_eps, sharded_eps / point.shards,
         static_cast<unsigned long long>(point.run.sim_events),
-        static_cast<unsigned long long>(point.run.epochs),
         static_cast<unsigned long long>(point.run.engine_digest));
     if (point.run.engine_digest != sharded.front().run.engine_digest ||
         point.run.samples_digest != sharded.front().run.samples_digest) {
@@ -459,7 +456,7 @@ bool WriteBenchCoreJson() {
   }
   if (!digests_match) {
     std::fprintf(stderr,
-                 "FAIL: sharded engine digests diverge across shard "
+                 "FAIL: sharded run digests diverge across shard "
                  "counts\n");
   }
   if (!sampler.digests_match) {

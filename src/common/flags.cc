@@ -1,6 +1,7 @@
 #include "src/common/flags.h"
 
 #include <charconv>
+#include <cstdio>
 #include <string_view>
 
 namespace palette {
@@ -89,6 +90,14 @@ std::vector<std::string> FlagParser::UnqueriedFlags() const {
     }
   }
   return out;
+}
+
+bool FlagParser::ReportUnqueried() const {
+  const std::vector<std::string> unknown = UnqueriedFlags();
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "error: unrecognized flag --%s\n", name.c_str());
+  }
+  return !unknown.empty();
 }
 
 }  // namespace palette

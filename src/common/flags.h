@@ -31,6 +31,9 @@ class FlagParser {
   const std::vector<std::string>& positional() const { return positional_; }
   // Flags that were present but never queried — typo detection for tools.
   std::vector<std::string> UnqueriedFlags() const;
+  // Prints an error to stderr for each unqueried flag and returns whether
+  // there was any. Tools exit with status 2 when it returns true.
+  bool ReportUnqueried() const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -45,12 +45,6 @@ struct InvocationSpec {
   // the platform's run-wide StorageConfig::mode. Nullopt (the default)
   // uses the run mode. Ignored when the storage layer is disabled.
   std::optional<CoherenceMode> coherence;
-  // Sharded-engine domain the submitter lives on (src/sim/
-  // sharded_simulator.h). When >= 0 and it differs from the platform's own
-  // domain, the completion callback is shipped back to this domain through
-  // the platform's cross-domain scheduler (one return hop later) instead
-  // of running inline. -1 (the default) keeps completions local.
-  int origin_domain = -1;
 };
 
 struct InvocationResult {

@@ -740,7 +740,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         it->second->running.reset();
       }
       if (attempt->on_complete) {
-        DeliverCompletion(attempt);
+        attempt->on_complete(*attempt->result);
       }
       StartNextOnWorker(instance);
       if (was_stolen) {
@@ -1068,23 +1068,6 @@ std::vector<std::string> FaasPlatform::WriteReplicasFor(
     }
   }
   return replicas;
-}
-
-void FaasPlatform::DeliverCompletion(const AttemptPtr& attempt) {
-  const int origin = attempt->spec->origin_domain;
-  if (cross_scheduler_ != nullptr && origin >= 0 &&
-      origin != config_.domain) {
-    // Ship the result back across the sharded fabric: the callback runs on
-    // the submitter's domain, one return hop later. The capture (a
-    // std::function plus a shared_ptr) stays inside the inline event
-    // buffer; the result outlives the send via the shared_ptr.
-    cross_scheduler_->SendTo(
-        origin, SaturatingAdd(sim_->Now(), cross_return_hop_),
-        [cb = std::move(attempt->on_complete),
-         result = attempt->result]() mutable { cb(*result); });
-    return;
-  }
-  attempt->on_complete(*attempt->result);
 }
 
 std::unordered_map<std::string, SimTime> FaasPlatform::WorkerBusyTime() const {

@@ -47,7 +47,6 @@
 #include "src/faas/retry_policy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/sim/event_scheduler.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/storage/storage_layer.h"
@@ -97,10 +96,6 @@ struct PlatformConfig {
   RetryPolicy retry;
   FaastCacheConfig cache;
   NetworkConfig network;
-  // Event-core domain this platform lives on in a sharded run
-  // (src/sim/sharded_simulator.h); 0 for monolithic runs. Completions for
-  // specs whose origin_domain differs are shipped back cross-domain.
-  int domain = 0;
   // Dispatch binding (docs/DISPATCH.md). Push (the default) keeps the
   // pre-pull behavior bit-for-bit; pull/hybrid turn routing into a hint
   // and let idle workers late-bind work from per-color pending queues.
@@ -257,16 +252,6 @@ class FaasPlatform {
   std::uint64_t planner_rounds() const { return planner_rounds_; }
   Bytes planner_moved_bytes() const { return planner_moved_bytes_; }
   double last_plan_objective() const { return last_plan_objective_; }
-
-  // Sharded-engine seam (docs/PERF.md, "Parallel engine"): when attached,
-  // completions of invocations whose spec carries an origin_domain other
-  // than config().domain are delivered through `scheduler` to that domain,
-  // `return_hop` later — the trip back across the fabric. `scheduler` must
-  // outlive the platform; null detaches (completions run inline again).
-  void set_cross_scheduler(EventScheduler* scheduler, SimTime return_hop) {
-    cross_scheduler_ = scheduler;
-    cross_return_hop_ = return_hop;
-  }
 
   // §5.1 name translation: rewrites a color hash-key prefix to the instance
   // that color maps to. DAG executors call this on input/output names
@@ -454,10 +439,6 @@ class FaasPlatform {
   // layer (books must still close when membership hits zero).
   void FailAllPending();
 
-  // Fires the attempt's completion callback — inline, or shipped to the
-  // spec's origin domain when a cross-domain scheduler is attached.
-  void DeliverCompletion(const AttemptPtr& attempt);
-
   // The live instances a write to `key`'s color must synchronously land on
   // beyond its home: the LB's split-table members plus the policy's write
   // replica set (Replicated Colors). Empty for single-instance colors —
@@ -513,9 +494,6 @@ class FaasPlatform {
   std::uint64_t planner_rounds_ = 0;
   Bytes planner_moved_bytes_ = 0;
   double last_plan_objective_ = 0;
-  // Sharded-engine seam; null = monolithic (completions run inline).
-  EventScheduler* cross_scheduler_ = nullptr;
-  SimTime cross_return_hop_;
 
   // Observability hooks; null = off. Per-invocation metrics are resolved
   // once in set_metrics so the hot path bumps plain integers.

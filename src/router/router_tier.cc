@@ -32,8 +32,6 @@ bool ParseDispatchMode(std::string_view id, DispatchMode* out) {
 RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
     : platform_(platform),
       config_(config),
-      local_scheduler_(&platform->simulator()),
-      scheduler_(&local_scheduler_),
       ring_(/*virtual_nodes=*/128, MixU64(config.seed ^ 0x52494E47ULL)) {
   assert(config_.routers >= 1);
   // Every replica runs the same policy with the same seed: a stateless
@@ -100,13 +98,11 @@ void RouterTier::BroadcastThrough(std::uint64_t seq) {
     }
     return;
   }
-  // One sync tick per replica, scheduled through the seam so the tick
-  // lands on the tier's own event core in sharded runs. Ticks fire in seq
-  // order (same lag), so a tick for seq s applying everything through s
-  // keeps log application in order; ticks against a crashed replica no-op
-  // (restart resyncs).
+  // One sync tick per replica. Ticks fire in seq order (same lag), so a
+  // tick for seq s applying everything through s keeps log application in
+  // order; ticks against a crashed replica no-op (restart resyncs).
   for (std::size_t i = 0; i < routers_.size(); ++i) {
-    scheduler_->ScheduleAfter(config_.sync_lag, [this, i, seq]() {
+    platform_->simulator().After(config_.sync_lag, [this, i, seq]() {
       Router* router = routers_[i].get();
       if (router->up) {
         ApplyThrough(router, seq);
@@ -266,7 +262,7 @@ void RouterTier::ExportMetrics(MetricsRegistry* metrics,
   counter("router.recolored").Set(recolored());
   counter("router.planner_moves").Set(planner_moves());
   gauge("router.live")
-      .SetAt(static_cast<double>(live_.size()), scheduler_->Now());
+      .SetAt(static_cast<double>(live_.size()), platform_->simulator().Now());
   for (const auto& router : routers_) {
     const char* name = router->name.c_str();
     counter(StrFormat("router.%s.routed", name)).Set(router->routed);
@@ -277,9 +273,9 @@ void RouterTier::ExportMetrics(MetricsRegistry* metrics,
         .Set(router->lb.recolored());
     gauge(StrFormat("router.%s.view_lag", name))
         .SetAt(static_cast<double>(latest_seq_ - router->applied_seq),
-               scheduler_->Now());
+               platform_->simulator().Now());
     gauge(StrFormat("router.%s.up", name))
-        .SetAt(router->up ? 1.0 : 0.0, scheduler_->Now());
+        .SetAt(router->up ? 1.0 : 0.0, platform_->simulator().Now());
   }
 }
 

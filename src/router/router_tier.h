@@ -48,7 +48,6 @@
 #include "src/core/policy_factory.h"
 #include "src/faas/platform.h"
 #include "src/hash/consistent_hash_ring.h"
-#include "src/sim/event_scheduler.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -144,12 +143,6 @@ class RouterTier {
   // Records one hop span per routed attempt on the replica's trace track.
   void set_trace_recorder(TraceRecorder* trace) { trace_ = trace; }
 
-  // Sharded-engine seam: view-sync ticks are scheduled through this handle
-  // (default: a LocalScheduler over the platform's simulator). A sharded
-  // run hands the tier its domain handle so membership propagation stays
-  // on the tier's own event core. `scheduler` must outlive the tier.
-  void set_scheduler(EventScheduler* scheduler) { scheduler_ = scheduler; }
-
   const RouterTierConfig& config() const { return config_; }
 
  private:
@@ -201,8 +194,6 @@ class RouterTier {
 
   FaasPlatform* platform_;
   RouterTierConfig config_;
-  LocalScheduler local_scheduler_;       // default seam: the platform's sim
-  EventScheduler* scheduler_ = nullptr;  // active seam (see set_scheduler)
   std::vector<std::unique_ptr<Router>> routers_;
   std::unordered_map<std::string, int> name_index_;
   // Color -> live replica partition (color-partition dispatch).

@@ -152,15 +152,6 @@ std::uint64_t Simulator::Run(std::uint64_t max_events) {
   return n;
 }
 
-std::uint64_t Simulator::RunUntil(SimTime horizon) {
-  std::uint64_t n = 0;
-  while (!heap_.empty() && TimeOf(heap_[0]) < horizon) {
-    Step();
-    ++n;
-  }
-  return n;
-}
-
 SimTime FifoResource::Acquire(SimTime duration, SimTime not_before) {
   SimTime start = sim_->Now();
   if (not_before > start) {

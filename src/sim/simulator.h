@@ -75,20 +75,6 @@ class Simulator {
   // Returns the number of events executed.
   std::uint64_t Run(std::uint64_t max_events = UINT64_MAX);
 
-  // Runs every event strictly before `horizon` (events the run schedules
-  // included, as long as they land before the horizon). Returns the number
-  // executed. This is the per-epoch primitive of the sharded engine
-  // (sharded_simulator.h): the caller guarantees no event earlier than the
-  // horizon can still arrive from outside.
-  std::uint64_t RunUntil(SimTime horizon);
-
-  // Timestamp of the earliest pending event, or SimTime::Max() when the
-  // queue is empty (the sharded engine's epoch reduction treats Max as
-  // "no work").
-  SimTime next_event_time() const {
-    return heap_.empty() ? SimTime::Max() : TimeOf(heap_[0]);
-  }
-
   std::uint64_t executed_events() const { return executed_; }
   bool empty() const { return heap_.empty(); }
   std::size_t pending_events() const { return heap_.size(); }
@@ -115,8 +101,8 @@ class Simulator {
 
   // Order-sensitive FNV-1a digest over the (time, seq) pair of every event
   // executed so far. Two runs of the same model must produce equal digests
-  // — the bit-reproducibility witness the sharded engine combines across
-  // domains and CI asserts across --shards counts.
+  // — the bit-reproducibility witness a sharded run folds across its
+  // worker groups and CI asserts across --shards counts.
   std::uint64_t event_digest() const { return digest_; }
 
  private:

@@ -7,75 +7,104 @@
 
 namespace palette {
 
+namespace {
+
+// The stop rule: the arrival at stream index `index`, due at `at`, is
+// driven only inside the horizon and under the invocation cap.
+bool Admits(const DriverConfig& config, SimTime at, std::uint64_t index) {
+  return at < config.duration && index < config.max_invocations;
+}
+
+}  // namespace
+
 OpenLoopDriver::OpenLoopDriver(FaasPlatform* platform,
                                std::unique_ptr<ArrivalProcess> arrivals,
                                InvocationMix mix, DriverConfig config,
                                std::uint64_t seed)
-    : platform_(platform),
-      sim_(&platform->simulator()),
+    : sim_(&platform->simulator()),
       invoke_([platform](InvocationSpec spec,
                          FaasPlatform::CompletionCallback on_complete) {
         return platform->Invoke(std::move(spec), std::move(on_complete));
       }),
       arrivals_(std::move(arrivals)),
-      mix_(std::move(mix)),
+      mix_(std::make_shared<const InvocationMix>(std::move(mix))),
       config_(config),
       rng_(seed) {}
 
 OpenLoopDriver::OpenLoopDriver(Simulator* sim,
                                std::unique_ptr<ArrivalProcess> arrivals,
-                               InvocationMix mix, DriverConfig config,
-                               std::uint64_t seed)
-    : platform_(nullptr),
-      sim_(sim),
+                               std::shared_ptr<const InvocationMix> mix,
+                               DriverConfig config, std::uint64_t seed,
+                               ArrivalSlice slice)
+    : sim_(sim),
       arrivals_(std::move(arrivals)),
       mix_(std::move(mix)),
       config_(config),
-      rng_(seed) {}
+      rng_(seed),
+      slice_(std::move(slice)) {}
+
+std::uint64_t OpenLoopDriver::CountArrivals(ArrivalProcess& arrivals,
+                                            const DriverConfig& config) {
+  std::uint64_t count = 0;
+  while (Admits(config, arrivals.Next(), count)) {
+    ++count;
+  }
+  return count;
+}
 
 void OpenLoopDriver::Start() {
-  // Reserve the offered count plus six standard deviations of a Poisson
-  // count over the run, so arrival recording does not reallocate mid-run.
-  // The mean alone is exceeded on about half of all seeds, and the vector
-  // would then double (samples_ may still grow past this reserve).
-  const double expected =
-      arrivals_->rate_per_sec() * config_.duration.seconds();
-  const double headroom = std::ceil(6.0 * std::sqrt(expected));
-  samples_.reserve(std::min<std::uint64_t>(
-      config_.max_invocations,
-      static_cast<std::uint64_t>(expected) +
-          static_cast<std::uint64_t>(headroom) + 16));
+  if (slice_.book == nullptr) {
+    // Reserve the offered count plus six standard deviations of a Poisson
+    // count over the run, so arrival recording does not reallocate mid-run.
+    // The mean alone is exceeded on about half of all seeds, and the
+    // vector would then double (samples_ may still grow past this
+    // reserve).
+    const double expected =
+        arrivals_->rate_per_sec() * config_.duration.seconds();
+    const double headroom = std::ceil(6.0 * std::sqrt(expected));
+    samples_.reserve(std::min<std::uint64_t>(
+        config_.max_invocations,
+        static_cast<std::uint64_t>(expected) +
+            static_cast<std::uint64_t>(headroom) + 16));
+  }
   ScheduleNext();
 }
 
 void OpenLoopDriver::ScheduleNext() {
-  if (exhausted_) {
-    return;
+  while (!exhausted_) {
+    next_arrival_ = arrivals_->Next();
+    if (!Admits(config_, next_arrival_, drawn_)) {
+      exhausted_ = true;
+      return;
+    }
+    // Every arrival is drawn, owned or not, so each slice's Rng stays in
+    // step with the one stream; only owned ones are built.
+    next_index_ = drawn_++;
+    if (mix_->SampleIf(next_arrival_, rng_, slice_.owns, &next_)) {
+      // Captures only `this`: stays inside the simulator's inline event
+      // buffer.
+      sim_->At(SaturatingAdd(next_arrival_, slice_.delay),
+               [this]() { Fire(); });
+      return;
+    }
   }
-  next_arrival_ = arrivals_->Next();
-  if (next_arrival_ >= config_.duration ||
-      samples_.size() >= config_.max_invocations) {
-    exhausted_ = true;
-    return;
-  }
-  // Captures only `this`: stays inside the simulator's inline event buffer.
-  sim_->At(next_arrival_, [this]() { Fire(); });
 }
 
 void OpenLoopDriver::Fire() {
-  assert(invoke_ && "platform-less driver needs set_invoker before Start");
-  MixedInvocation mixed = mix_.Sample(sim_->Now(), rng_);
-  const std::uint32_t index = static_cast<std::uint32_t>(samples_.size());
-  InvocationSample sample;
-  sample.intended_start = sim_->Now();
-  sample.color_id = mixed.color_id;
-  sample.function_index = mixed.function_index;
-  samples_.push_back(sample);
+  assert(invoke_ && "replay driver needs set_invoker before Start");
+  const std::uint64_t index = next_index_;
+  if (slice_.book == nullptr) {
+    samples_.emplace_back();  // a replay book is sized up front
+  }
+  InvocationSample& sample = book()[index];
+  sample.intended_start = next_arrival_;
+  sample.color_id = next_.color_id;
+  sample.function_index = next_.function_index;
   ++submitted_;
 
   const auto id = invoke_(
-      std::move(mixed.spec), [this, index](const InvocationResult& result) {
-        InvocationSample& s = samples_[index];
+      std::move(next_.spec), [this, index](const InvocationResult& result) {
+        InvocationSample& s = book()[index];
         s.completed = result.completed;
         s.status = SampleStatus::kCompleted;
         s.local_hits = static_cast<std::uint16_t>(result.local_hits);
@@ -84,7 +113,7 @@ void OpenLoopDriver::Fire() {
         ++completed_;
       });
   if (!id.has_value()) {
-    samples_[index].status = SampleStatus::kRejected;
+    book()[index].status = SampleStatus::kRejected;
     ++rejected_;
   }
   // Open loop: the next arrival is scheduled now, from the arrival process

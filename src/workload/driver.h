@@ -19,7 +19,9 @@
 #define PALETTE_SRC_WORKLOAD_DRIVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -57,6 +59,21 @@ struct InvocationSample {
   SimTime latency() const { return completed - intended_start; }
 };
 
+// A replay driver's share of one arrival stream (sharded runs,
+// src/workload/sharded_run.h). Every slice walks the whole stream with the
+// same seeds and submits only the arrivals it owns, so the slices of one
+// stream partition it exactly.
+struct ArrivalSlice {
+  // Whether this slice submits arrivals of `color_id`.
+  std::function<bool(std::uint32_t color_id)> owns;
+  // Submission lag after each arrival (the fabric hop to the slice's
+  // group). The lag counts toward the arrival's measured latency.
+  SimTime delay;
+  // The sample book shared by every slice of the stream, sized with
+  // OpenLoopDriver::CountArrivals. A slice writes only the indices it owns.
+  std::vector<InvocationSample>* book = nullptr;
+};
+
 class OpenLoopDriver {
  public:
   // `platform` must outlive the driver; the driver uses the platform's
@@ -66,12 +83,19 @@ class OpenLoopDriver {
                  std::unique_ptr<ArrivalProcess> arrivals, InvocationMix mix,
                  DriverConfig config, std::uint64_t seed);
 
-  // Platform-less variant for sharded runs (src/workload/sharded_run.h):
-  // the driver schedules arrivals on `sim` (the front-door domain) and has
-  // no default submission target — the caller MUST set_invoker before
-  // Start, pointing at whatever fabric carries invocations to a platform.
+  // Replay variant for sharded runs: the driver schedules on `sim`,
+  // submits only `slice`'s arrivals, and records them into `slice.book`
+  // instead of samples(). It has no default submission target: the caller
+  // MUST set_invoker before Start. `mix` may be shared between slices.
   OpenLoopDriver(Simulator* sim, std::unique_ptr<ArrivalProcess> arrivals,
-                 InvocationMix mix, DriverConfig config, std::uint64_t seed);
+                 std::shared_ptr<const InvocationMix> mix,
+                 DriverConfig config, std::uint64_t seed, ArrivalSlice slice);
+
+  // The number of arrivals `arrivals` yields before the driver's stop rule
+  // (duration, then max_invocations) ends the stream: the exact size of a
+  // replay book.
+  static std::uint64_t CountArrivals(ArrivalProcess& arrivals,
+                                     const DriverConfig& config);
 
   // Schedules the first arrival; the caller then runs the simulator
   // (sim.Run() drives arrivals and completions to drain).
@@ -85,32 +109,43 @@ class OpenLoopDriver {
       InvocationSpec spec, FaasPlatform::CompletionCallback on_complete)>;
   void set_invoker(InvokeFn invoke) { invoke_ = std::move(invoke); }
 
+  // Empty for a replay driver, whose samples live in its slice's book.
   const std::vector<InvocationSample>& samples() const { return samples_; }
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t rejected() const { return rejected_; }
   const DriverConfig& config() const { return config_; }
-  const InvocationMix& mix() const { return mix_; }
+  const InvocationMix& mix() const { return *mix_; }
   double offered_rate_per_sec() const {
     return arrivals_->rate_per_sec();
   }
 
  private:
+  // Draws arrivals until the next one this driver submits and schedules
+  // it, or marks the stream exhausted.
   void ScheduleNext();
   void Fire();
+  std::vector<InvocationSample>& book() {
+    return slice_.book != nullptr ? *slice_.book : samples_;
+  }
 
-  FaasPlatform* platform_;
   Simulator* sim_;
   InvokeFn invoke_;
   std::unique_ptr<ArrivalProcess> arrivals_;
-  InvocationMix mix_;
+  std::shared_ptr<const InvocationMix> mix_;
   DriverConfig config_;
   Rng rng_;
+  ArrivalSlice slice_;
   std::vector<InvocationSample> samples_;
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;
+  // Arrivals drawn so far; the next one's stream index.
+  std::uint64_t drawn_ = 0;
+  // The arrival scheduled to fire next.
   SimTime next_arrival_;
+  std::uint64_t next_index_ = 0;
+  MixedInvocation next_;
   bool exhausted_ = false;
 };
 

@@ -61,37 +61,64 @@ Bytes InvocationMix::ObjectSize(std::uint32_t color_id,
   return static_cast<Bytes>(sizes_.ValueAtQuantile(u));
 }
 
+std::string InvocationMix::ColorName(std::uint32_t color_id) {
+  return "c" + std::to_string(color_id);
+}
+
 MixedInvocation InvocationMix::Sample(SimTime now, Rng& rng) const {
   MixedInvocation out;
-  out.color_id = ColorIdForRank(zipf_.Sample(rng), now);
+  DrawRest(ColorIdForRank(zipf_.Sample(rng), now), rng, &out);
+  return out;
+}
 
+bool InvocationMix::SampleIf(
+    SimTime now, Rng& rng,
+    const std::function<bool(std::uint32_t color_id)>& keep,
+    MixedInvocation* out) const {
+  const std::uint32_t color_id = ColorIdForRank(zipf_.Sample(rng), now);
+  const bool kept = !keep || keep(color_id);
+  if (kept) {
+    *out = MixedInvocation();
+  }
+  DrawRest(color_id, rng, kept ? out : nullptr);
+  return kept;
+}
+
+void InvocationMix::DrawRest(std::uint32_t color_id, Rng& rng,
+                             MixedInvocation* out) const {
   const double fn_draw = rng.NextDouble();
-  const auto fn_it =
-      std::lower_bound(function_cdf_.begin(), function_cdf_.end(), fn_draw);
-  out.function_index = static_cast<std::uint16_t>(
-      std::min<std::size_t>(fn_it - function_cdf_.begin(),
-                            config_.functions.size() - 1));
-  const MixConfig::FunctionSpec& fn = config_.functions[out.function_index];
-
-  out.spec.function = fn.name;
-  out.spec.color = StrFormat("c%u", out.color_id);
-  out.spec.cpu_ops = fn.cpu_ops * (0.5 + rng.NextDouble());
+  const double cpu_draw = rng.NextDouble();
+  if (out != nullptr) {
+    const auto fn_it = std::lower_bound(function_cdf_.begin(),
+                                        function_cdf_.end(), fn_draw);
+    out->color_id = color_id;
+    out->function_index = static_cast<std::uint16_t>(
+        std::min<std::size_t>(fn_it - function_cdf_.begin(),
+                              config_.functions.size() - 1));
+    const MixConfig::FunctionSpec& fn = config_.functions[out->function_index];
+    out->spec.function = fn.name;
+    out->spec.color = ColorName(color_id);
+    out->spec.cpu_ops = fn.cpu_ops * (0.5 + cpu_draw);
+  }
   for (int i = 0; i < config_.inputs_per_invocation; ++i) {
     const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
-    out.spec.inputs.push_back(
-        ObjectRef{StrFormat("c%u___o%llu", out.color_id,
-                            static_cast<unsigned long long>(obj)),
-                  ObjectSize(out.color_id, obj)});
+    if (out != nullptr) {
+      out->spec.inputs.push_back(
+          ObjectRef{StrFormat("c%u___o%llu", color_id,
+                              static_cast<unsigned long long>(obj)),
+                    ObjectSize(color_id, obj)});
+    }
   }
   if (config_.write_fraction > 0 &&
       rng.NextBernoulli(config_.write_fraction)) {
     const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
-    out.spec.outputs.push_back(
-        ObjectRef{StrFormat("c%u___o%llu", out.color_id,
-                            static_cast<unsigned long long>(obj)),
-                  ObjectSize(out.color_id, obj)});
+    if (out != nullptr) {
+      out->spec.outputs.push_back(
+          ObjectRef{StrFormat("c%u___o%llu", color_id,
+                              static_cast<unsigned long long>(obj)),
+                    ObjectSize(color_id, obj)});
+    }
   }
-  return out;
 }
 
 }  // namespace palette

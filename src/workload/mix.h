@@ -18,6 +18,7 @@
 #define PALETTE_SRC_WORKLOAD_MIX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,18 @@ class InvocationMix {
   // caller supplies the Rng so the driver owns a single stream.
   MixedInvocation Sample(SimTime now, Rng& rng) const;
 
+  // Sample for a caller that keeps only some colors (a worker group of a
+  // sharded run replaying the whole arrival stream): builds the invocation
+  // into `out` only when `keep` is empty or holds for its color id, and
+  // returns whether it did. Either way it consumes exactly the random
+  // numbers Sample would, so the Rng stays in step with the stream.
+  bool SampleIf(SimTime now, Rng& rng,
+                const std::function<bool(std::uint32_t color_id)>& keep,
+                MixedInvocation* out) const;
+
+  // The routing hint Sample puts on an invocation of `color_id`.
+  static std::string ColorName(std::uint32_t color_id);
+
   // The color id that Zipf rank `rank` maps to at time `now`; exposed so
   // tests can assert the hot set actually moves.
   std::uint32_t ColorIdForRank(std::uint64_t rank, SimTime now) const;
@@ -92,6 +105,10 @@ class InvocationMix {
   const MixConfig& config() const { return config_; }
 
  private:
+  // The draws of Sample that follow the color, in Sample's order. Builds
+  // the invocation into `out` unless it is null.
+  void DrawRest(std::uint32_t color_id, Rng& rng, MixedInvocation* out) const;
+
   MixConfig config_;
   ZipfDistribution zipf_;
   std::vector<double> function_cdf_;  // cumulative weights, normalized

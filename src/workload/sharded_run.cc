@@ -1,14 +1,15 @@
 #include "src/workload/sharded_run.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <utility>
 
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
+#include "src/common/thread_pool.h"
 #include "src/hash/hash.h"
-#include "src/sim/sharded_simulator.h"
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/mix.h"
@@ -17,22 +18,43 @@ namespace palette {
 
 namespace {
 
-// One worker group: the platform owning its cluster slice, the optional
-// router tier fronting it, and the group's rejection count.
-struct GroupState {
+// Front door -> group fabric hop, charged to dispatch: it is part of every
+// sample's measured latency.
+constexpr SimTime kFabricHop = SimTime::FromMicros(500);
+
+// One worker group: its simulator, the platform owning its cluster slice,
+// the optional router tier and planner, its slice of the front door, and
+// its telemetry.
+struct Group {
+  Simulator sim;
+  std::shared_ptr<MetricsRegistry> metrics;
+  std::shared_ptr<TimeSeriesSampler> series;
   std::unique_ptr<FaasPlatform> platform;
   std::unique_ptr<RouterTier> tier;
   std::unique_ptr<PlannerRuntime> planner;
+  std::unique_ptr<OpenLoopDriver> driver;
   std::uint64_t rejections = 0;
 };
 
-// An invocation in flight from the front door to its group: the spec and
-// completion callback ride the cross-domain channel behind a shared_ptr so
-// the message capture stays inside the inline event buffer.
-struct PendingDispatch {
-  InvocationSpec spec;
-  FaasPlatform::CompletionCallback cb;
-};
+std::uint64_t WallNanos() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// Everything a group exports into its registry: the platform, the tier and
+// the group's driver books.
+void ExportGroupMetrics(const Group& group, bool per_worker) {
+  MetricsRegistry* m = group.metrics.get();
+  group.platform->ExportMetrics(m, std::string(), per_worker);
+  if (group.tier != nullptr) {
+    group.tier->ExportMetrics(m);
+  }
+  m->counter("driver.submitted").Set(group.driver->submitted());
+  m->counter("driver.completed").Set(group.driver->completed());
+  m->counter("driver.rejected").Set(group.driver->rejected());
+}
 
 }  // namespace
 
@@ -42,16 +64,6 @@ ShardedRunResult RunShardedWorkload(
     const PlatformConfig& platform_config,
     const std::vector<ShardedFault>* faults) {
   const int groups = std::max(1, config.groups);
-  // The fabric hop doubles as the engine lookahead, so it must be positive.
-  const SimTime hop = std::max(config.hop, SimTime::FromNanos(1));
-
-  ShardedSimulatorConfig engine_config;
-  engine_config.domains = groups + 1;
-  engine_config.shards = config.shards;
-  engine_config.lookahead = hop;
-  engine_config.channel_capacity = config.channel_capacity;
-  engine_config.profile = config.profile;
-  ShardedSimulator engine(engine_config);
 
   // Independent sub-streams per component, all derived from the one
   // experiment seed (same scheme as RunWorkload) plus one per group.
@@ -59,20 +71,24 @@ ShardedRunResult RunShardedWorkload(
   const std::uint64_t arrival_seed = seeder.Next();
   const std::uint64_t driver_seed = seeder.Next();
 
-  std::vector<GroupState> group_states(static_cast<std::size_t>(groups));
+  // The sample book covers the whole arrival stream; each group writes the
+  // indices it owns.
+  std::vector<InvocationSample> book(OpenLoopDriver::CountArrivals(
+      *MakeArrivalProcess(spec.arrival, arrival_seed), spec.driver));
+  const auto mix = std::make_shared<const InvocationMix>(spec.mix);
+
+  std::vector<Group> group_runs(static_cast<std::size_t>(groups));
   for (int g = 0; g < groups; ++g) {
-    GroupState& group = group_states[static_cast<std::size_t>(g)];
+    Group& group = group_runs[static_cast<std::size_t>(g)];
     const std::uint64_t group_seed = seeder.Next();
-    PlatformConfig group_platform = platform_config;
-    group_platform.domain = 1 + g;
-    group.platform = std::make_unique<FaasPlatform>(
-        &engine.domain_sim(1 + g), policy, group_seed, group_platform);
+    group.platform = std::make_unique<FaasPlatform>(&group.sim, policy,
+                                                    group_seed,
+                                                    platform_config);
     group.platform->set_worker_prefix(StrFormat("g%dw", g));
     // Even split; the first (total % groups) groups absorb the remainder.
     const int group_workers =
         total_workers / groups + (g < total_workers % groups ? 1 : 0);
     group.platform->AddWorkers(group_workers);
-    group.platform->set_cross_scheduler(&engine.scheduler(1 + g), hop);
     if (config.routers_per_group > 0) {
       RouterTierConfig tier_config;
       tier_config.routers = config.routers_per_group;
@@ -82,159 +98,120 @@ ShardedRunResult RunShardedWorkload(
       tier_config.seed = group_seed;
       group.tier =
           std::make_unique<RouterTier>(group.platform.get(), tier_config);
-      group.tier->set_scheduler(&engine.scheduler(1 + g));
     }
     if (config.planner.enabled()) {
-      // One runtime per group, ticking on the group's own event core: the
-      // group set is model topology (never thread count), so planner
-      // rounds — and digests — are identical across `shards` values.
       group.planner = std::make_unique<PlannerRuntime>(group.platform.get(),
                                                        config.planner);
       group.planner->Start(spec.driver.duration);
     }
-  }
-
-  // Faults install on the owning group's domain so they interleave with
-  // that group's events exactly as in a monolithic run.
-  std::vector<FaultSchedule> group_faults(static_cast<std::size_t>(groups));
-  if (faults != nullptr) {
-    for (const ShardedFault& fault : *faults) {
-      if (fault.group >= 0 && fault.group < groups) {
-        group_faults[static_cast<std::size_t>(fault.group)].Add(fault.event);
+    if (faults != nullptr) {
+      FaultSchedule schedule;
+      for (const ShardedFault& fault : *faults) {
+        if (fault.group == g) {
+          schedule.Add(fault.event);
+        }
       }
+      schedule.InstallOn(&group.sim, group.platform.get(), group.tier.get());
     }
-    for (int g = 0; g < groups; ++g) {
-      const GroupState& group = group_states[static_cast<std::size_t>(g)];
-      group_faults[static_cast<std::size_t>(g)].InstallOn(
-          &engine.domain_sim(1 + g), group.platform.get(),
-          group.tier.get());
-    }
-  }
 
-  // The front door: open-loop arrivals on domain 0, shipping each
-  // invocation to its color's group over the fabric.
-  Simulator& front = engine.domain_sim(0);
-  OpenLoopDriver driver(&front, MakeArrivalProcess(spec.arrival, arrival_seed),
-                        InvocationMix(spec.mix), spec.driver, driver_seed);
-  std::uint64_t next_dispatch_id = 0;
-  driver.set_invoker(
-      [&engine, &group_states, &front, &next_dispatch_id, hop, groups](
-          InvocationSpec invocation, FaasPlatform::CompletionCallback cb)
-          -> std::optional<std::uint64_t> {
-        // Consistent color->group partition: every invocation of a color
-        // meets the same group, so stickiness survives the fabric.
-        // Uncolored traffic spreads by submission index.
-        const std::uint64_t key = invocation.color.has_value()
-                                      ? Fnv1a64(*invocation.color)
-                                      : MixU64(next_dispatch_id);
-        const int g = static_cast<int>(
-            JumpConsistentHash(key, static_cast<std::uint32_t>(groups)));
-        invocation.origin_domain = 0;
-        auto pending = std::make_shared<PendingDispatch>(
-            PendingDispatch{std::move(invocation), std::move(cb)});
-        GroupState* group = &group_states[static_cast<std::size_t>(g)];
-        engine.Send(
-            0, 1 + g, SaturatingAdd(front.Now(), hop),
-            [pending, group]() mutable {
-              std::optional<std::uint64_t> id;
-              if (group->tier != nullptr) {
-                id = group->tier->Invoke(std::move(pending->spec),
-                                         std::move(pending->cb));
-              } else {
-                id = group->platform->Invoke(std::move(pending->spec),
-                                             std::move(pending->cb));
-              }
-              if (!id.has_value()) {
-                // Rejected at the group; the front-door sample stays
-                // pending and scores as a drop.
-                ++group->rejections;
-              }
-            });
-        // The fabric accepts unconditionally; group-side rejections are
-        // booked above. Ids are front-door-synthetic.
-        return ++next_dispatch_id;
-      });
-  // Telemetry: one registry + sampler per domain, each driven by its own
-  // event core's clock observer. Domain 0 samples the front-door driver
-  // books; each group domain samples its platform + tier. Refreshes run on
-  // whatever shard owns the domain, touching only domain-local state.
-  const int domains = groups + 1;
-  std::vector<std::shared_ptr<MetricsRegistry>> domain_metrics;
-  std::vector<std::shared_ptr<TimeSeriesSampler>> domain_series;
-  if (config.obs.enabled()) {
-    TimeSeriesConfig ts_config;
-    ts_config.interval = config.obs.sample_every;
-    ts_config.ring_capacity = config.obs.ring_capacity;
-    for (int d = 0; d < domains; ++d) {
-      domain_metrics.push_back(std::make_shared<MetricsRegistry>());
-      domain_series.push_back(std::make_shared<TimeSeriesSampler>(ts_config));
-      domain_series.back()->set_source(domain_metrics.back().get());
-      engine.domain_sim(d).SetClockObserver(
+    // The group's slice of the front door: consistent color->group
+    // partition, so every invocation of a color meets the same group.
+    ArrivalSlice slice;
+    slice.owns = [g, groups](std::uint32_t color_id) {
+      return JumpConsistentHash(Fnv1a64(InvocationMix::ColorName(color_id)),
+                                static_cast<std::uint32_t>(groups)) ==
+             static_cast<std::uint32_t>(g);
+    };
+    slice.delay = kFabricHop;
+    slice.book = &book;
+    group.driver = std::make_unique<OpenLoopDriver>(
+        &group.sim, MakeArrivalProcess(spec.arrival, arrival_seed), mix,
+        spec.driver, driver_seed, std::move(slice));
+    group.driver->set_invoker(
+        [&group](InvocationSpec invocation,
+                 FaasPlatform::CompletionCallback cb)
+            -> std::optional<std::uint64_t> {
+          const std::optional<std::uint64_t> id =
+              group.tier != nullptr
+                  ? group.tier->Invoke(std::move(invocation), std::move(cb))
+                  : group.platform->Invoke(std::move(invocation),
+                                           std::move(cb));
+          if (!id.has_value()) {
+            // Rejected at the group; the sample stays pending and scores
+            // as a drop.
+            ++group.rejections;
+          }
+          // The fabric accepts unconditionally; group-side rejections are
+          // booked above.
+          return id.value_or(0);
+        });
+
+    if (config.obs.enabled()) {
+      TimeSeriesConfig ts_config;
+      ts_config.interval = config.obs.sample_every;
+      ts_config.ring_capacity = config.obs.ring_capacity;
+      group.metrics = std::make_shared<MetricsRegistry>();
+      group.series = std::make_shared<TimeSeriesSampler>(ts_config);
+      group.series->set_source(group.metrics.get());
+      group.series->set_refresh(
+          [&group] { ExportGroupMetrics(group, /*per_worker=*/false); });
+      group.platform->set_metrics(group.metrics.get());
+      group.sim.SetClockObserver(
           config.obs.sample_every,
-          [sampler = domain_series.back().get()](SimTime mark) {
+          [sampler = group.series.get()](SimTime mark) {
             sampler->Sample(mark);
           });
     }
-    domain_series[0]->set_refresh([&driver, m = domain_metrics[0].get()] {
-      m->counter("driver.submitted").Set(driver.submitted());
-      m->counter("driver.completed").Set(driver.completed());
-      m->counter("driver.rejected").Set(driver.rejected());
-    });
-    for (int g = 0; g < groups; ++g) {
-      GroupState* group = &group_states[static_cast<std::size_t>(g)];
-      group->platform->set_metrics(domain_metrics[1 + g].get());
-      domain_series[1 + g]->set_refresh(
-          [group, m = domain_metrics[1 + g].get()] {
-            group->platform->ExportMetrics(m, std::string(),
-                                           /*per_worker=*/false);
-            if (group->tier != nullptr) {
-              group->tier->ExportMetrics(m);
-            }
-          });
-    }
+    group.driver->Start();
   }
 
-  driver.Start();
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t events = engine.Run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  // Each group runs start to finish on whichever thread claims it next.
+  const int threads = std::clamp(config.shards, 1, groups);
+  const bool profiling = config.profile;
+  std::vector<ShardProfile> per_thread(static_cast<std::size_t>(threads));
+  std::vector<std::uint64_t> finished_ns(static_cast<std::size_t>(threads));
+  std::atomic<int> next_group{0};
+  const std::uint64_t run_start = WallNanos();
+  ParallelFor(static_cast<std::size_t>(threads),
+              static_cast<std::size_t>(threads), [&](std::size_t t) {
+                ShardProfile& prof = per_thread[t];
+                for (int g = next_group.fetch_add(1); g < groups;
+                     g = next_group.fetch_add(1)) {
+                  const std::uint64_t start = profiling ? WallNanos() : 0;
+                  const std::uint64_t events =
+                      group_runs[static_cast<std::size_t>(g)].sim.Run();
+                  if (profiling) {
+                    prof.execute_ns += WallNanos() - start;
+                  }
+                  ++prof.epochs;
+                  prof.events += events;
+                  prof.busy_epochs += events > 0 ? 1 : 0;
+                }
+                if (profiling) {
+                  finished_ns[t] = WallNanos();
+                }
+              });
+  const std::uint64_t joined = WallNanos();
 
   ShardedRunResult result;
   if (config.obs.enabled()) {
     // Close the books on the run's own (shard-count-invariant) clocks: the
-    // common horizon is the latest domain clock or the nominal duration,
-    // so every domain's mark set is aligned before the window-by-window
-    // fold. Merge in fixed domain order — the one order every --shards
-    // value shares — making the cluster CSV/alert log bit-identical.
+    // common horizon is the latest group clock or the nominal duration, so
+    // every group's mark set is aligned before the window-by-window fold.
     SimTime horizon = spec.driver.duration;
-    for (int d = 0; d < domains; ++d) {
-      horizon = std::max(horizon, engine.domain_sim(d).Now());
+    for (const Group& group : group_runs) {
+      horizon = std::max(horizon, group.sim.Now());
     }
-    for (int d = 0; d < domains; ++d) {
-      engine.domain_sim(d).FlushObserverUpTo(horizon);
-      engine.domain_sim(d).SetClockObserver(SimTime(), nullptr);
-      domain_series[static_cast<std::size_t>(d)]->set_refresh(nullptr);
-    }
-    for (int g = 0; g < groups; ++g) {
-      const GroupState& group = group_states[static_cast<std::size_t>(g)];
-      group.platform->ExportMetrics(domain_metrics[1 + g].get());
-      if (group.tier != nullptr) {
-        group.tier->ExportMetrics(domain_metrics[1 + g].get());
-      }
-    }
-    domain_metrics[0]->counter("driver.submitted").Set(driver.submitted());
-    domain_metrics[0]->counter("driver.completed").Set(driver.completed());
-    domain_metrics[0]->counter("driver.rejected").Set(driver.rejected());
-
     result.telemetry.metrics = std::make_shared<MetricsRegistry>();
-    result.telemetry.series = domain_series[0];
-    for (int d = 0; d < domains; ++d) {
-      result.telemetry.metrics->MergeFrom(
-          *domain_metrics[static_cast<std::size_t>(d)]);
-      if (d > 0) {
-        domain_series[0]->MergeFrom(
-            *domain_series[static_cast<std::size_t>(d)]);
+    result.telemetry.series = group_runs.front().series;
+    for (Group& group : group_runs) {
+      group.sim.FlushObserverUpTo(horizon);
+      group.sim.SetClockObserver(SimTime(), nullptr);
+      group.series->set_refresh(nullptr);
+      ExportGroupMetrics(group, /*per_worker=*/true);
+      result.telemetry.metrics->MergeFrom(*group.metrics);
+      if (&group != &group_runs.front()) {
+        result.telemetry.series->MergeFrom(*group.series);
       }
     }
     if (!config.obs.alert_rules.empty()) {
@@ -243,35 +220,35 @@ ShardedRunResult RunShardedWorkload(
       result.telemetry.alerts->Run(*result.telemetry.series);
     }
   }
-  result.profile = engine.profile();
-  result.report = ScoreSlo(driver.samples(), slo, spec.driver.duration,
+  result.report = ScoreSlo(book, slo, spec.driver.duration,
                            spec.arrival.rate_per_sec);
-  result.samples_digest = SamplesDigest(driver.samples());
-  result.engine_digest = engine.CombinedDigest();
-  result.sim_events = events;
-  result.epochs = engine.epochs();
-  result.wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  result.driver_submitted = driver.submitted();
-  result.driver_completed = driver.completed();
-  for (const GroupState& group : group_states) {
-    result.group_submitted += group.platform->submitted_invocations();
-    result.group_completed += group.platform->completed_invocations();
-    result.group_dropped += group.platform->dropped_invocations();
-    result.group_abandoned += group.platform->abandoned_invocations();
+  result.samples_digest = SamplesDigest(book);
+  result.wall_seconds = static_cast<double>(joined - run_start) / 1e9;
+  result.engine_digest = 14695981039346656037ull;  // FNV-1a fold
+  for (const Group& group : group_runs) {
+    result.engine_digest =
+        (result.engine_digest ^ group.sim.event_digest()) * 1099511628211ull;
+    result.sim_events += group.sim.executed_events();
+    result.driver_submitted += group.driver->submitted();
+    result.driver_completed += group.driver->completed();
+    const FaasPlatform& platform = *group.platform;
+    result.group_submitted += platform.submitted_invocations();
+    result.group_completed += platform.completed_invocations();
+    result.group_dropped += platform.dropped_invocations();
+    result.group_abandoned += platform.abandoned_invocations();
     result.group_rejections += group.rejections;
-    result.cold_starts += group.platform->total_cold_starts();
-    result.retries += group.platform->total_retries();
-    result.pulls += group.platform->total_pulls();
-    result.steals += group.platform->total_steals();
-    result.steal_bytes += group.platform->total_steal_bytes();
-    result.planner_rounds += group.platform->planner_rounds();
-    result.planner_moves += group.platform->load_balancer().planner_moves();
-    result.planner_splits += group.platform->load_balancer().planner_splits();
-    result.planner_merges += group.platform->load_balancer().planner_merges();
-    result.planner_moved_bytes += group.platform->planner_moved_bytes();
-    if (group.platform->storage_layer() != nullptr) {
-      result.storage.Accumulate(group.platform->storage_layer()->stats());
+    result.cold_starts += platform.total_cold_starts();
+    result.retries += platform.total_retries();
+    result.pulls += platform.total_pulls();
+    result.steals += platform.total_steals();
+    result.steal_bytes += platform.total_steal_bytes();
+    result.planner_rounds += platform.planner_rounds();
+    result.planner_moves += platform.load_balancer().planner_moves();
+    result.planner_splits += platform.load_balancer().planner_splits();
+    result.planner_merges += platform.load_balancer().planner_merges();
+    result.planner_moved_bytes += platform.planner_moved_bytes();
+    if (platform.storage_layer() != nullptr) {
+      result.storage.Accumulate(platform.storage_layer()->stats());
     }
   }
   result.books_close =
@@ -280,6 +257,19 @@ ShardedRunResult RunShardedWorkload(
       result.group_submitted == result.group_completed +
                                     result.group_dropped +
                                     result.group_abandoned;
+
+  EngineProfile& profile = result.profile;
+  profile.groups = groups;
+  profile.shards = threads;
+  profile.epochs = static_cast<std::uint64_t>(groups);
+  profile.events = result.sim_events;
+  if (profiling) {
+    per_thread.front().drain_ns = WallNanos() - joined;
+    for (std::size_t t = 0; t < per_thread.size(); ++t) {
+      per_thread[t].barrier_wait_ns = joined - finished_ns[t];
+    }
+  }
+  profile.per_shard = std::move(per_thread);
   return result;
 }
 

@@ -1,23 +1,25 @@
 // Sharded cluster workload harness (docs/PERF.md, "Parallel engine").
 //
-// Maps the open-loop router workload onto the sharded conservative-
-// lookahead engine. The domain topology is fixed by the model — never by
-// the thread count — so results are bit-identical across --shards values:
+// Splits the open-loop router workload into G worker groups, each a
+// FaasPlatform owning its slice of the cluster (workers "g<i>w<j>"),
+// fronted by its own RouterTier of view-synced replicas ("r0".."rR-1"),
+// and each running on a private Simulator:
 //
-//   domain 0            the front door: arrival generation, the sample
-//                       book, completion accounting;
-//   domains 1 .. G      one worker group each: a FaasPlatform owning the
-//                       group's slice of the cluster (workers "g<i>w<j>"),
-//                       fronted by its own RouterTier of view-synced
-//                       replicas ("r0".."rR-1" per group).
+//   * Colors partition across groups by consistent hash of the color, so
+//     every invocation of a color meets the same group and color->instance
+//     stickiness survives the split.
+//   * The front door is open loop: arrivals never wait on a completion.
+//     Every group replays the one arrival stream with the run's seeds and
+//     submits only the arrivals it owns, one fabric hop after they arrive.
+//   * A sample's completion time is read off its group's clock, and
+//     rejections are booked by the group. Planners and faults are scoped
+//     to one group.
 //
-// Colors partition across groups by consistent hash (all invocations of a
-// color meet the same group, preserving color->instance stickiness across
-// the fabric), dispatch to a group is one cross-domain hop — which also
-// lower-bounds the engine lookahead — and completions hop back to the
-// front door. Recorded completion timestamps follow the monolithic router
-// harness convention: the dispatch hop is inside the measured latency, the
-// return hop is reporting delay, not service time.
+// Nothing flows between groups, so each group's simulation is a pure
+// function of the seed and its own arrivals. The groups run start to
+// finish as independent tasks on `shards` threads and their results fold
+// in group order: samples, books, digests and telemetry are bit-identical
+// for every `shards` value.
 #ifndef PALETTE_SRC_WORKLOAD_SHARDED_RUN_H_
 #define PALETTE_SRC_WORKLOAD_SHARDED_RUN_H_
 
@@ -27,7 +29,6 @@
 #include "src/core/policy_factory.h"
 #include "src/faas/platform.h"
 #include "src/router/router_tier.h"
-#include "src/sim/sharded_simulator.h"
 #include "src/workload/fault_schedule.h"
 #include "src/workload/slo.h"
 #include "src/workload/spec.h"
@@ -35,35 +36,28 @@
 namespace palette {
 
 struct ShardedWorkloadConfig {
-  // Worker-group domains (engine domains = groups + 1). Part of the model
-  // topology: changing it changes the simulated system and the digests.
+  // Worker groups. Part of the model topology: changing it changes the
+  // simulated system and the digests.
   int groups = 8;
-  // Event-core threads; any value yields the same digests.
+  // Threads running the groups; any value yields the same digests.
   int shards = 1;
   // Router replicas fronting each group; 0 = drivers hit the group
   // platform's own load balancer directly.
   int routers_per_group = 2;
-  // Front door <-> group fabric hop, charged to dispatch and to completion
-  // return. Doubles as the engine's conservative lookahead, so it must be
-  // positive.
-  SimTime hop = SimTime::FromMicros(500);
   // View-sync lag inside each group's router tier.
   SimTime group_sync_lag;
   DispatchMode group_dispatch = DispatchMode::kColorPartition;
-  std::size_t channel_capacity = 256;
-  // Telemetry: when obs.enabled(), every domain gets its own registry +
-  // sampler on its event core's clock observer (share-nothing, like the
-  // domains themselves), and after the run the per-domain series and
-  // registries fold into cluster telemetry in fixed domain order — so the
-  // merged CSV and alert log are bit-identical across `shards` values.
+  // Telemetry: when obs.enabled(), every group gets its own registry and
+  // sampler on its simulator's clock observer (share-nothing, like the
+  // groups themselves). After the run the per-group series and registries
+  // fold into cluster telemetry in group order, so the merged CSV and
+  // alert log are bit-identical across `shards` values.
   WorkloadObsConfig obs;
-  // Engine profiler (ShardedSimulatorConfig::profile): wall-clock phase
-  // timings and per-epoch logs, reported via ShardedRunResult::profile.
+  // Engine profiler: wall-clock timings per thread, reported via
+  // ShardedRunResult::profile.
   bool profile = false;
-  // Global re-balancer (docs/PLANNER.md). When enabled, each group domain
-  // runs its own PlannerRuntime against its platform on the group's event
-  // core. Groups are fixed by the model topology, so planner rounds — and
-  // therefore digests — are bit-identical across `shards` values.
+  // Global re-balancer (docs/PLANNER.md). When enabled, each group runs its
+  // own PlannerRuntime against its platform on the group's simulator.
   PlannerConfig planner{.plan_every = SimTime()};
 };
 
@@ -74,18 +68,40 @@ struct ShardedFault {
   FaultEvent event;
 };
 
+// One thread's share of a sharded run. The counts are exact; which groups
+// a thread picks up, and so its counts, can vary run to run. Wall times
+// come from steady_clock and are filled in only when profiling.
+struct ShardProfile {
+  std::uint64_t epochs = 0;       // group runs this thread executed
+  std::uint64_t events = 0;       // events in those runs
+  std::uint64_t busy_epochs = 0;  // group runs with at least one event
+  std::uint64_t barrier_wait_ns = 0;  // idle after its last group, until
+                                      // the join
+  std::uint64_t drain_ns = 0;         // the fold (first thread only)
+  std::uint64_t execute_ns = 0;       // running groups
+};
+
+struct EngineProfile {
+  int groups = 0;
+  int shards = 0;
+  std::uint64_t epochs = 0;  // group runs: one per group
+  std::uint64_t events = 0;
+  std::vector<ShardProfile> per_shard;  // one entry per thread
+};
+
 struct ShardedRunResult {
   SloReport report;
-  // Order-sensitive digest over the front door's sample book — the
-  // BENCH_slo digest CI compares across --shards values.
+  // Order-sensitive digest over the sample book — the BENCH_slo digest CI
+  // compares across --shards values.
   std::uint64_t samples_digest = 0;
-  // The engine's combined per-domain event digest (same invariant).
+  // The groups' Simulator::event_digest() values folded in group order
+  // (same invariant).
   std::uint64_t engine_digest = 0;
   std::uint64_t sim_events = 0;
-  std::uint64_t epochs = 0;
+  // Wall time of the group runs (set-up and the fold excluded).
   double wall_seconds = 0;
 
-  // Books. Once the engine drains:
+  // Books. Once the groups drain:
   //   driver_submitted == group_submitted + group_rejections, and
   //   group_submitted == group_completed + group_dropped + group_abandoned.
   std::uint64_t driver_submitted = 0;
@@ -121,19 +137,19 @@ struct ShardedRunResult {
 
   // Cluster telemetry (null members unless config.obs enabled): registry
   // merged via MetricsRegistry::MergeFrom and series merged window-by-
-  // window, both folded in domain order.
+  // window, both folded in group order.
   WorkloadTelemetry telemetry;
-  // Engine profiler snapshot (counts always valid; wall times and epoch
-  // logs populated when config.profile was set).
+  // Engine profile (counts always valid; wall times populated when
+  // config.profile was set).
   EngineProfile profile;
 };
 
-// Runs `spec` against `config.groups` worker groups on the sharded engine,
-// with `total_workers` split evenly across groups (first groups take the
-// remainder). Deterministic: identical (spec, policy, workers, config,
-// faults) give bit-identical samples, books, and digests for every
-// `config.shards` value. `faults`, when non-null, is installed on the
-// owning group's domain before the run starts.
+// Runs `spec` against `config.groups` worker groups, with `total_workers`
+// split evenly across groups (first groups take the remainder).
+// Deterministic: identical (spec, policy, workers, config, faults) give
+// bit-identical samples, books, and digests for every `config.shards`
+// value. `faults`, when non-null, is installed on the owning group before
+// the run starts.
 ShardedRunResult RunShardedWorkload(
     const WorkloadSpec& spec, PolicyKind policy, int total_workers,
     const ShardedWorkloadConfig& config, const SloConfig& slo,

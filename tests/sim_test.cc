@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event simulator, the sharded parallel
-// engine, and the network model.
+// Unit tests for the discrete-event simulator, sharded workload runs, and
+// the network model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,11 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/event_scheduler.h"
 #include "src/sim/network.h"
-#include "src/sim/sharded_simulator.h"
 #include "src/sim/simulator.h"
-#include "src/sim/spsc_channel.h"
 #include "src/workload/sharded_run.h"
 
 namespace palette {
@@ -321,214 +318,17 @@ TEST(SimulatorTest, AfterHugeNegativeDelayClampsToNow) {
   EXPECT_EQ(fired, SimTime::FromSeconds(5));
 }
 
-TEST(SpscChannelTest, FifoAcrossRingAndOverflow) {
-  // Push well past the ring capacity: the excess spills to the overflow
-  // vector and a drain still replays everything in push order.
-  SpscChannel channel(4);
-  EXPECT_EQ(channel.capacity(), 4u);
-  int invoked = 0;
-  for (int i = 0; i < 10; ++i) {
-    channel.Push(SimTime::FromMillis(i), [&invoked] { ++invoked; });
-  }
-  std::vector<std::int64_t> stamps;
-  channel.Drain([&](SimTime when, Simulator::Callback cb) {
-    stamps.push_back(when.nanos());
-    cb();
-  });
-  ASSERT_EQ(stamps.size(), 10u);
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    EXPECT_LT(stamps[i - 1], stamps[i]);
-  }
-  EXPECT_EQ(invoked, 10);
-  EXPECT_TRUE(channel.Empty());
-  EXPECT_EQ(channel.overflow_drains(), 1u);
-}
+// ---------------------------------------------------------------------------
+// Sharded workload runs: each worker group runs as its own simulation.
+//
+// The pinned samples digests were recorded on the lock-step epoch engine
+// that preceded independent group runs. Matching them shows that running
+// the groups apart reproduces the coupled simulation bit for bit.
 
-TEST(EventSchedulerTest, LocalSchedulerDegeneratesToOneSimulator) {
-  Simulator sim;
-  LocalScheduler scheduler(&sim);
-  std::vector<int> order;
-  scheduler.ScheduleAt(SimTime::FromMillis(2), [&order] { order.push_back(2); });
-  // SendTo on the single-domain seam is a plain local schedule.
-  scheduler.SendTo(0, SimTime::FromMillis(1), [&order] { order.push_back(1); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(scheduler.domain(), 0);
-  EXPECT_EQ(scheduler.domain_count(), 1);
-  EXPECT_EQ(scheduler.Now(), SimTime::FromMillis(2));
-}
+enum class ShardedCell { kBase, kFaults, kEverythingOn };
 
-namespace sharded {
-
-constexpr std::uint64_t Lcg(std::uint64_t state) {
-  return state * 6364136223846793005ULL + 1442695040888963407ULL;
-}
-
-// A deterministic self-rescheduling cascade (LCG-driven delays).
-void Cascade(Simulator* sim, std::uint64_t state, int remaining) {
-  if (remaining == 0) {
-    return;
-  }
-  const std::uint64_t next = Lcg(state);
-  const auto delay =
-      static_cast<std::int64_t>((next >> 40) % 10000) + 1;
-  sim->After(SimTime::FromNanos(delay), [sim, next, remaining] {
-    Cascade(sim, next, remaining - 1);
-  });
-}
-
-constexpr SimTime kStormLookahead = SimTime::FromMicros(100);
-
-// A cascade that also sprays cross-domain messages (at >= lookahead) to
-// pseudo-random destinations — the determinism stress for the engine.
-void Storm(ShardedSimulator* engine, int domain, std::uint64_t state,
-           int remaining) {
-  if (remaining == 0) {
-    return;
-  }
-  Simulator& sim = engine->domain_sim(domain);
-  const std::uint64_t next = Lcg(state);
-  const auto delay = static_cast<std::int64_t>((next >> 40) % 50000) + 1;
-  sim.After(SimTime::FromNanos(delay), [engine, domain, next, remaining] {
-    Storm(engine, domain, next, remaining - 1);
-  });
-  if (next % 3 == 0) {
-    const int dst = static_cast<int>(
-        (static_cast<std::uint64_t>(domain) + 1 + (next >> 50) % 3) %
-        static_cast<std::uint64_t>(engine->domain_count()));
-    const std::uint64_t forked = Lcg(next ^ 0x9E3779B97F4A7C15ULL);
-    const SimTime when =
-        sim.Now() + kStormLookahead +
-        SimTime::FromNanos(static_cast<std::int64_t>((next >> 45) % 1000));
-    engine->Send(domain, dst, when, [engine, dst, forked] {
-      Storm(engine, dst, forked, 2);
-    });
-  }
-}
-
-}  // namespace sharded
-
-TEST(ShardedSimulatorTest, SingleDomainMatchesPlainSimulator) {
-  // One domain on one shard is the sequential engine bit for bit: same
-  // event count, same final clock, same digest.
-  Simulator plain;
-  for (int c = 0; c < 8; ++c) {
-    sharded::Cascade(&plain, static_cast<std::uint64_t>(c) + 1, 50);
-  }
-  plain.Run();
-
-  ShardedSimulatorConfig config;
-  config.domains = 1;
-  config.shards = 1;
-  ShardedSimulator engine(config);
-  for (int c = 0; c < 8; ++c) {
-    sharded::Cascade(&engine.domain_sim(0), static_cast<std::uint64_t>(c) + 1,
-                     50);
-  }
-  const std::uint64_t ran = engine.Run();
-
-  EXPECT_EQ(ran, plain.executed_events());
-  EXPECT_EQ(engine.domain_sim(0).executed_events(), plain.executed_events());
-  EXPECT_EQ(engine.domain_sim(0).event_digest(), plain.event_digest());
-  EXPECT_EQ(engine.domain_sim(0).Now(), plain.Now());
-}
-
-namespace {
-
-struct PingPongState {
-  ShardedSimulator* engine = nullptr;
-  std::vector<std::int64_t> stamps[2];
-};
-
-void Bounce(PingPongState* state, int domain) {
-  Simulator& sim = state->engine->domain_sim(domain);
-  state->stamps[domain].push_back(sim.Now().nanos());
-  if (state->stamps[0].size() + state->stamps[1].size() >= 10) {
-    return;
-  }
-  const int other = 1 - domain;
-  state->engine->Send(domain, other, sim.Now() + SimTime::FromMillis(1),
-                      [state, other] { Bounce(state, other); });
-}
-
-}  // namespace
-
-TEST(ShardedSimulatorTest, PingPongDeliversAtTheSentTimestamp) {
-  ShardedSimulatorConfig config;
-  config.domains = 2;
-  config.shards = 2;
-  config.lookahead = SimTime::FromMillis(1);
-  ShardedSimulator engine(config);
-  PingPongState state;
-  state.engine = &engine;
-  engine.domain_sim(0).At(SimTime(), [&state] { Bounce(&state, 0); });
-  engine.Run();
-  // Strict alternation, one hop of simulated latency per bounce.
-  ASSERT_EQ(state.stamps[0].size(), 5u);
-  ASSERT_EQ(state.stamps[1].size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(state.stamps[0][i], SimTime::FromMillis(2 * i).nanos());
-    EXPECT_EQ(state.stamps[1][i], SimTime::FromMillis(2 * i + 1).nanos());
-  }
-  EXPECT_GT(engine.epochs(), 0u);
-}
-
-TEST(ShardedSimulatorTest, DigestInvariantAcrossShardCounts) {
-  // The engine's core determinism claim: domains fix the event streams, so
-  // any shard count replays the identical simulation.
-  auto run_storm = [](int shards) {
-    ShardedSimulatorConfig config;
-    config.domains = 4;
-    config.shards = shards;
-    config.lookahead = sharded::kStormLookahead;
-    config.channel_capacity = 8;  // force overflow coverage too
-    ShardedSimulator engine(config);
-    for (int d = 0; d < 4; ++d) {
-      sharded::Storm(&engine, d, static_cast<std::uint64_t>(d) * 977 + 11,
-                     40);
-    }
-    const std::uint64_t ran = engine.Run();
-    return std::pair<std::uint64_t, std::uint64_t>(engine.CombinedDigest(),
-                                                   ran);
-  };
-  const auto one = run_storm(1);
-  const auto two = run_storm(2);
-  const auto four = run_storm(4);
-  EXPECT_GT(one.second, 160u);
-  EXPECT_EQ(one.first, two.first);
-  EXPECT_EQ(one.first, four.first);
-  EXPECT_EQ(one.second, two.second);
-  EXPECT_EQ(one.second, four.second);
-}
-
-namespace {
-
-void Tick(ShardedSimulator* engine, int domain) {
-  engine->domain_sim(domain).After(SimTime::FromMillis(1), [engine, domain] {
-    Tick(engine, domain);
-  });
-}
-
-}  // namespace
-
-TEST(ShardedSimulatorTest, RunStopsAtEventBudgetAndResumes) {
-  ShardedSimulatorConfig config;
-  config.domains = 2;
-  config.shards = 1;
-  ShardedSimulator engine(config);
-  Tick(&engine, 0);  // an endless local chain
-  const std::uint64_t first = engine.Run(50);
-  EXPECT_GE(first, 50u);
-  EXPECT_LE(first, 52u);  // budget is checked at epoch boundaries
-  const std::uint64_t second = engine.Run(10);
-  EXPECT_GE(second, 10u);
-  EXPECT_LE(second, 12u);
-}
-
-namespace {
-
-ShardedRunResult RunShardedCell(int shards,
-                                const std::vector<ShardedFault>* faults) {
+ShardedRunResult RunShardedCell(int shards, ShardedCell cell,
+                                bool profile = false) {
   WorkloadSpec spec;
   spec.arrival.kind = ArrivalKind::kMmpp;
   spec.arrival.rate_per_sec = 400;
@@ -540,34 +340,11 @@ ShardedRunResult RunShardedCell(int shards,
   config.groups = 4;
   config.shards = shards;
   config.routers_per_group = 2;
-  config.hop = SimTime::FromMillis(2);
   config.group_sync_lag = SimTime::FromMillis(5);
-  SloConfig slo;
-  slo.warmup = SimTime::FromMillis(500);
-  return RunShardedWorkload(spec, PolicyKind::kLeastAssigned,
-                            /*total_workers=*/16, config, slo,
-                            DefaultWorkloadPlatformConfig(), faults);
-}
-
-}  // namespace
-
-TEST(ShardedWorkloadTest, ZipfMmppDigestsInvariantAcrossShardCounts) {
-  const ShardedRunResult one = RunShardedCell(1, nullptr);
-  const ShardedRunResult four = RunShardedCell(4, nullptr);
-  EXPECT_GT(one.report.completed, 0u);
-  EXPECT_TRUE(one.books_close);
-  EXPECT_TRUE(four.books_close);
-  EXPECT_EQ(one.samples_digest, four.samples_digest);
-  EXPECT_EQ(one.engine_digest, four.engine_digest);
-  EXPECT_EQ(one.sim_events, four.sim_events);
-  EXPECT_EQ(one.epochs, four.epochs);
-  EXPECT_EQ(one.driver_completed, four.driver_completed);
-}
-
-TEST(ShardedWorkloadTest, FaultCellStaysDeterministic) {
-  // Mid-run worker crash in group 1 plus a router crash/restart cycle in
-  // group 2: the failure-handling event storm must replay identically on
-  // 1 and 4 shards.
+  config.profile = profile;
+  PlatformConfig platform = DefaultWorkloadPlatformConfig();
+  // A mid-run worker crash in group 1 plus a router crash/restart cycle in
+  // group 2.
   std::vector<ShardedFault> faults;
   faults.push_back(ShardedFault{
       1, FaultEvent{SimTime::FromSeconds(1), FaultKind::kCrash, "g1w0"}});
@@ -577,17 +354,138 @@ TEST(ShardedWorkloadTest, FaultCellStaysDeterministic) {
   faults.push_back(ShardedFault{
       2, FaultEvent{SimTime::FromSeconds(2), FaultKind::kRouterRestart,
                     "r0"}});
-  const ShardedRunResult one = RunShardedCell(1, &faults);
-  const ShardedRunResult four = RunShardedCell(4, &faults);
+  if (cell == ShardedCell::kEverythingOn) {
+    platform.dispatch_mode = FaasDispatchMode::kHybrid;
+    platform.storage.mode = CoherenceMode::kWriteBack;
+    spec.mix.write_fraction = 0.2;
+    config.planner.plan_every = SimTime::FromMillis(300);
+    config.group_dispatch = DispatchMode::kSpray;
+  }
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  return RunShardedWorkload(spec, PolicyKind::kLeastAssigned,
+                            /*total_workers=*/16, config, slo, platform,
+                            cell == ShardedCell::kBase ? nullptr : &faults);
+}
+
+// Runs `cell` on 1 and 4 shards and checks the pinned samples digest plus
+// shard invariance of everything the run reports.
+void ExpectPinnedAndShardInvariant(ShardedCell cell,
+                                   std::uint64_t pinned_digest) {
+  const ShardedRunResult one = RunShardedCell(1, cell);
+  const ShardedRunResult four = RunShardedCell(4, cell);
+  EXPECT_GT(one.report.completed, 0u);
   EXPECT_TRUE(one.books_close);
   EXPECT_TRUE(four.books_close);
-  // The faults actually bit: the event stream diverges from the fault-free
-  // run (membership churn, view resync, re-coloring).
-  const ShardedRunResult clean = RunShardedCell(1, nullptr);
-  EXPECT_NE(one.engine_digest, clean.engine_digest);
-  EXPECT_EQ(one.samples_digest, four.samples_digest);
+  EXPECT_EQ(one.samples_digest, pinned_digest);
+  EXPECT_EQ(four.samples_digest, pinned_digest);
   EXPECT_EQ(one.engine_digest, four.engine_digest);
   EXPECT_EQ(one.sim_events, four.sim_events);
+  EXPECT_EQ(one.driver_submitted, four.driver_submitted);
+  EXPECT_EQ(one.driver_completed, four.driver_completed);
+  EXPECT_EQ(one.group_rejections, four.group_rejections);
+  EXPECT_EQ(one.retries, four.retries);
+}
+
+TEST(ShardedWorkloadTest, ZipfMmppDigestsInvariantAcrossShardCounts) {
+  ExpectPinnedAndShardInvariant(ShardedCell::kBase, 0x98449c34f1a343d8ULL);
+}
+
+TEST(ShardedWorkloadTest, FaultCellStaysDeterministic) {
+  ExpectPinnedAndShardInvariant(ShardedCell::kFaults, 0xbcf9d7f7a9b89d70ULL);
+  // The faults actually bit: the event stream diverges from the fault-free
+  // run (membership churn, view resync, re-coloring).
+  EXPECT_NE(RunShardedCell(1, ShardedCell::kFaults).engine_digest,
+            RunShardedCell(1, ShardedCell::kBase).engine_digest);
+}
+
+TEST(ShardedWorkloadTest, EverythingOnCellPinnedAcrossShardCounts) {
+  // Faults plus hybrid dispatch, write-back storage, the planner and
+  // spraying group routers: every optional layer inside the groups.
+  ExpectPinnedAndShardInvariant(ShardedCell::kEverythingOn,
+                                0xd4d04131b9c24132ULL);
+}
+
+TEST(ShardedWorkloadTest, SampleBookFollowsTheDriverStopRule) {
+  // The sharded book is sized by a counting pass over the arrival stream.
+  // It must stop exactly where an OpenLoopDriver stops: at the horizon or
+  // at max_invocations, whichever comes first.
+  WorkloadSpec spec;
+  spec.arrival.rate_per_sec = 400;
+  spec.driver.duration = SimTime::FromSeconds(3);
+  spec.mix.color_count = 64;
+  spec.seed = 7;
+  ShardedWorkloadConfig config;
+  config.groups = 4;
+  config.shards = 2;
+  SloConfig slo;
+  const PlatformConfig platform = DefaultWorkloadPlatformConfig();
+  auto expect_same_count_as_monolithic = [&](const WorkloadSpec& at) {
+    const ShardedRunResult sharded = RunShardedWorkload(
+        at, PolicyKind::kLeastAssigned, 16, config, slo, platform);
+    const WorkloadRunResult monolithic =
+        RunWorkload(at, PolicyKind::kLeastAssigned, 16, slo, platform);
+    EXPECT_EQ(sharded.driver_submitted, monolithic.samples.size());
+    EXPECT_EQ(sharded.report.submitted, sharded.driver_submitted);
+    EXPECT_TRUE(sharded.books_close);
+    return sharded;
+  };
+
+  const ShardedRunResult full = expect_same_count_as_monolithic(spec);
+  ASSERT_GT(full.driver_submitted, 1000u);
+
+  // A cap below the arrival count submits exactly the cap.
+  WorkloadSpec capped = spec;
+  capped.driver.max_invocations = 500;
+  const ShardedRunResult run = expect_same_count_as_monolithic(capped);
+  EXPECT_EQ(run.driver_submitted, 500u);
+  EXPECT_EQ(run.group_submitted + run.group_rejections, 500u);
+
+  // A zero-length horizon admits no arrival at all.
+  WorkloadSpec empty = spec;
+  empty.driver.duration = SimTime();
+  const ShardedRunResult none = expect_same_count_as_monolithic(empty);
+  EXPECT_EQ(none.driver_submitted, 0u);
+  EXPECT_EQ(none.group_submitted, 0u);
+}
+
+TEST(ShardedWorkloadTest, ProfilerAccountsEveryGroupRun) {
+  // One epoch is one group run. Whichever thread runs a group, the
+  // per-thread counts add up to the groups and to the run's events.
+  for (const int shards : {1, 4}) {
+    const ShardedRunResult run =
+        RunShardedCell(shards, ShardedCell::kBase, /*profile=*/true);
+    const EngineProfile& profile = run.profile;
+    EXPECT_EQ(profile.groups, 4);
+    EXPECT_EQ(profile.shards, shards);
+    EXPECT_EQ(profile.epochs, 4u);
+    EXPECT_EQ(profile.events, run.sim_events);
+    ASSERT_EQ(profile.per_shard.size(), static_cast<std::size_t>(shards));
+    std::uint64_t epochs = 0;
+    std::uint64_t events = 0;
+    for (const ShardProfile& shard : profile.per_shard) {
+      epochs += shard.epochs;
+      events += shard.events;
+      EXPECT_LE(shard.busy_epochs, shard.epochs);
+    }
+    EXPECT_EQ(epochs, profile.epochs);
+    EXPECT_EQ(events, run.sim_events);
+    // Every group ran on some thread, so some thread spent time on them.
+    EXPECT_GT(profile.per_shard.front().execute_ns +
+                  profile.per_shard.back().execute_ns,
+              0u);
+  }
+}
+
+TEST(ShardedWorkloadTest, ProfilerOffReportsNoWallTime) {
+  const ShardedRunResult run = RunShardedCell(2, ShardedCell::kBase);
+  // Counts are kept regardless; the wall-clock fields stay zero.
+  EXPECT_EQ(run.profile.events, run.sim_events);
+  for (const ShardProfile& shard : run.profile.per_shard) {
+    EXPECT_EQ(shard.execute_ns, 0u);
+    EXPECT_EQ(shard.barrier_wait_ns, 0u);
+    EXPECT_EQ(shard.drain_ns, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -687,90 +585,6 @@ TEST(ClockObserverTest, MidRunInstallSkipsPassedMarks) {
   ASSERT_EQ(marks.size(), 2u);
   EXPECT_EQ(marks[0], SimTime::FromMillis(40).nanos());
   EXPECT_EQ(marks[1], SimTime::FromMillis(50).nanos());
-}
-
-// ---------------------------------------------------------------------------
-// Engine profiler and channel diagnostics.
-
-TEST(SpscChannelTest, HighWaterAndOverflowCounters) {
-  SpscChannel channel(4);
-  for (int i = 0; i < 6; ++i) {
-    channel.Push(SimTime::FromMillis(i), [] {});
-  }
-  // Ring holds 4; two spilled. High water saw all six queued at once.
-  EXPECT_EQ(channel.high_water(), 6u);
-  EXPECT_EQ(channel.overflow_events(), 2u);
-  channel.Drain([](SimTime, Simulator::Callback) {});
-  EXPECT_TRUE(channel.Empty());
-  EXPECT_EQ(channel.overflow_drains(), 1u);
-  // Counters are cumulative, not reset by the drain.
-  EXPECT_EQ(channel.high_water(), 6u);
-  EXPECT_EQ(channel.overflow_events(), 2u);
-}
-
-TEST(ShardedSimulatorTest, ProfilerAccountsEveryEvent) {
-  auto run_profiled = [](int shards) {
-    ShardedSimulatorConfig config;
-    config.domains = 4;
-    config.shards = shards;
-    config.lookahead = sharded::kStormLookahead;
-    config.channel_capacity = 8;
-    config.profile = true;
-    ShardedSimulator engine(config);
-    for (int d = 0; d < 4; ++d) {
-      sharded::Storm(&engine, d, static_cast<std::uint64_t>(d) * 977 + 11,
-                     40);
-    }
-    const std::uint64_t ran = engine.Run();
-    const EngineProfile profile = engine.profile();
-    EXPECT_TRUE(profile.enabled);
-    EXPECT_EQ(profile.domains, 4);
-    EXPECT_EQ(profile.shards, shards);
-    EXPECT_EQ(static_cast<int>(profile.per_shard.size()), shards);
-    EXPECT_EQ(profile.events, ran);  // no event escapes the books
-    EXPECT_GT(profile.epochs, 0u);
-    std::uint64_t shard_events = 0;
-    for (const ShardProfile& shard : profile.per_shard) {
-      shard_events += shard.events;
-      EXPECT_LE(shard.busy_epochs, shard.epochs);
-      const double util = shard.lookahead_utilization();
-      EXPECT_GE(util, 0.0);
-      EXPECT_LE(util, 1.0);
-      std::uint64_t logged = 0;
-      for (const auto& [t_min, n] : shard.epoch_log) {
-        logged += n;
-      }
-      if (shard.epoch_log_dropped == 0) {
-        // An untruncated epoch log re-adds to the shard's event total.
-        EXPECT_EQ(logged, shard.events);
-      }
-    }
-    EXPECT_EQ(shard_events, ran);
-    EXPECT_GT(profile.channel_high_water, 0u);  // storms cross domains
-    return profile;
-  };
-  const EngineProfile seq = run_profiled(1);
-  const EngineProfile par = run_profiled(4);
-  // Epoch protocol is shard-invariant: same windows, same events.
-  EXPECT_EQ(seq.epochs, par.epochs);
-  EXPECT_EQ(seq.events, par.events);
-}
-
-TEST(ShardedSimulatorTest, ProfilerOffCostsNothingAndReportsDisabled) {
-  ShardedSimulatorConfig config;
-  config.domains = 2;
-  config.shards = 1;
-  ShardedSimulator engine(config);
-  engine.domain_sim(0).At(SimTime(), [] {});
-  engine.Run();
-  const EngineProfile profile = engine.profile();
-  EXPECT_FALSE(profile.enabled);
-  // Event/epoch counts are maintained regardless; wall-clock fields stay
-  // zero (no steady_clock reads on the hot path).
-  for (const ShardProfile& shard : profile.per_shard) {
-    EXPECT_EQ(shard.barrier_wait_ns, 0u);
-    EXPECT_EQ(shard.drain_ns, 0u);
-  }
 }
 
 }  // namespace

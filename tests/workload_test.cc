@@ -251,6 +251,41 @@ TEST(MixTest, FunctionMixFollowsWeights) {
   EXPECT_NEAR(static_cast<double>(fast) / draws, 0.75, 0.02);
 }
 
+TEST(MixTest, SampleIfStaysInStepWithSample) {
+  // A sharded group draws every arrival but builds only its own colors.
+  // Skipping must consume the same random numbers as Sample, and a kept
+  // draw must equal Sample's.
+  MixConfig config;
+  config.color_count = 16;
+  config.inputs_per_invocation = 2;
+  config.write_fraction = 0.3;
+  config.functions = {{"fast", 3.0, 1e6}, {"slow", 1.0, 1e7}};
+  const InvocationMix mix(config);
+  Rng all(42);
+  Rng some(42);
+  const auto keep = [](std::uint32_t color_id) { return color_id % 3 == 0; };
+  int kept = 0;
+  for (int i = 0; i < 500; ++i) {
+    const SimTime now = SimTime::FromMillis(i);
+    const MixedInvocation a = mix.Sample(now, all);
+    MixedInvocation b;
+    ASSERT_EQ(mix.SampleIf(now, some, keep, &b), keep(a.color_id));
+    if (!keep(a.color_id)) {
+      continue;
+    }
+    ++kept;
+    EXPECT_EQ(b.color_id, a.color_id);
+    EXPECT_EQ(b.function_index, a.function_index);
+    EXPECT_EQ(b.spec.color, a.spec.color);
+    EXPECT_EQ(b.spec.cpu_ops, a.spec.cpu_ops);
+    ASSERT_EQ(b.spec.inputs.size(), a.spec.inputs.size());
+    EXPECT_EQ(b.spec.inputs[1].name, a.spec.inputs[1].name);
+    ASSERT_EQ(b.spec.outputs.size(), a.spec.outputs.size());
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_EQ(all.Next(), some.Next());
+}
+
 TEST(SloTest, EmptySamplesScoreZeroSafely) {
   const SloReport report =
       ScoreSlo({}, SloConfig{}, SimTime::FromSeconds(10), 100);
@@ -590,7 +625,6 @@ TEST(TelemetryTest, ShardedTelemetryBitIdenticalAcrossShardCounts) {
     config.groups = 4;
     config.shards = shards;
     config.routers_per_group = 2;
-    config.hop = SimTime::FromMillis(2);
     config.obs.sample_every = SimTime::FromMillis(250);
     std::vector<std::string> errors;
     config.obs.alert_rules =
@@ -619,7 +653,6 @@ TEST(TelemetryTest, ShardedTelemetryBitIdenticalAcrossShardCounts) {
   plain.groups = 4;
   plain.shards = 2;
   plain.routers_per_group = 2;
-  plain.hop = SimTime::FromMillis(2);
   const ShardedRunResult off = RunShardedWorkload(
       spec, PolicyKind::kLeastAssigned, 16, plain, slo,
       DefaultWorkloadPlatformConfig());

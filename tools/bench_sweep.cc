@@ -26,12 +26,14 @@
 // from the loadgen flag set (--rate, --duration, --colors, --theta, ...;
 // see docs/WORKLOADS.md), with each cell's seed from the grid.
 //
-// `--shards=N` (workload mode only) runs every cell on the sharded
-// parallel engine (docs/PERF.md, "Parallel engine") with N event-core
-// threads and --groups/--group_routers/--shard_hop_us topology. Each such
-// cell owns an N-thread pool, so the sweep's own fan-out is capped at
+// `--shards=N` (workload mode only) runs every cell as a sharded run
+// (docs/PERF.md, "Parallel engine"): --groups worker groups, each fronted
+// by --group_routers routers, spread over N threads. Each such cell owns
+// an N-thread pool, so the sweep's own fan-out is capped at
 // hardware_concurrency / N — shards x cells never oversubscribes the
 // machine.
+//
+// A flag the chosen mode does not read is an error (exit status 2).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -114,17 +116,15 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
   const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
 
-  // Sharded-engine cells: each one spins a `shards`-thread event-core
-  // pool, so cap the sweep's own fan-out at hardware_concurrency / shards
-  // to keep shards x cells at or under the machine's width.
+  // Sharded cells: each one spins a `shards`-thread pool, so cap the
+  // sweep's own fan-out at hardware_concurrency / shards to keep shards x
+  // cells at or under the machine's width.
   ShardedWorkloadConfig sharded_config;
   if (shards >= 1) {
     sharded_config.shards = shards;
     sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
     sharded_config.routers_per_group =
         static_cast<int>(flags.GetInt("group_routers", 2));
-    sharded_config.hop = SimTime::FromMicros(
-        flags.GetDouble("shard_hop_us", sharded_config.hop.micros()));
     const auto hw = static_cast<std::size_t>(
         std::max(1u, std::thread::hardware_concurrency()));
     const std::size_t cap =
@@ -133,6 +133,9 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
     std::printf("sharded cells: %d shard(s) each; sweep fan-out capped at "
                 "%zu thread(s)\n",
                 shards, threads);
+  }
+  if (flags.ReportUnqueried()) {
+    return 2;
   }
 
   struct WorkloadCell {
@@ -229,8 +232,6 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
       json.Key("engine_digest");
       json.String(StrFormat("%016llx", static_cast<unsigned long long>(
                                            cell.sharded.engine_digest)));
-      json.Key("epochs");
-      json.UInt(cell.sharded.epochs);
     }
     json.Key("cell_wall_seconds");
     json.Double(cell.wall_seconds);
@@ -320,6 +321,9 @@ int Run(int argc, char** argv) {
       static_cast<Bytes>(flags.GetInt("output_mib", 16)) * kMiB;
   const auto threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
   const std::string out_path = flags.GetString("out", "BENCH_sweep.json");
+  if (flags.ReportUnqueried()) {
+    return 2;
+  }
 
   std::vector<SweepCell> cells;
   for (const PolicyKind policy : policies) {

@@ -20,8 +20,8 @@
 //           [--dirty_age_ms=50] [--staleness_ms=100] [--ae_lag_ms=10]
 //           [--storage_tiers=1]          # 2: fast/slow backing store
 //           [--fast_mb=256]              # fast-tier capacity
-//           [--shards=0]                 # >=1: sharded parallel engine
-//           [--groups=8] [--group_routers=2] [--shard_hop_us=500]
+//           [--shards=0]                 # >=1: sharded run, N threads
+//           [--groups=8] [--group_routers=2]
 //           [--sweep=200,400,800,1600]   # rate step-sweep for the knee
 //           [--dump_samples]             # embed per-sample records
 //           [--out=BENCH_slo.json]
@@ -30,7 +30,7 @@
 //           [--ts_out=<path|->]          # time-series CSV
 //           [--alerts=<rules>] [--alert_log=<path|->]   # SLO alert engine
 //           [--trace_counters=<path>]    # Chrome-trace counter tracks
-//           [--profile]                  # sharded-engine profiler (JSON)
+//           [--profile]                  # sharded-run profiler (JSON)
 //           [--plan_every_ms=0]          # >0: global re-balancer cadence
 //           [--move_alpha=0.5] [--split_threshold=0.2] [--max_split=4]
 //
@@ -56,12 +56,15 @@
 // backing store. The JSON grows a "storage" section with the write books,
 // coherence traffic, staleness, and tier counters.
 //
-// Sharded mode (docs/PERF.md, "Parallel engine"): --shards>=1 maps the
-// workload onto --groups worker-group domains, each fronted by its own
-// --group_routers router replicas, running on that many event-core
-// threads. Digests are bit-identical for every --shards value; --shards=0
-// (the default) keeps today's monolithic single-simulator paths
-// byte-identical. --routers and --sweep apply to monolithic mode only.
+// Sharded mode (docs/PERF.md, "Parallel engine"): --shards>=1 splits the
+// workload into --groups worker groups, each fronted by its own
+// --group_routers router replicas and run as its own simulation on one of
+// --shards threads. Digests are bit-identical for every --shards value;
+// --shards=0 (the default) keeps the monolithic single-simulator paths.
+// --routers and --sweep apply to monolithic mode only.
+//
+// A flag the chosen mode does not read is an error (exit status 2), never
+// silently ignored.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -128,61 +131,16 @@ bool WriteTextOutput(const std::string& path, const std::string& content) {
   return WriteTextFile(path, content);
 }
 
-// One Chrome trace file of counter tracks: the telemetry series, plus (when
-// profiling) per-shard events-per-epoch imbalance tracks on pid 2.
-std::string TraceCountersJson(const TimeSeriesSampler& series,
-                              const EngineProfile* profile) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("traceEvents");
-  json.BeginArray();
-  series.AppendChromeCounterTracks(&json, /*pid=*/1);
-  if (profile != nullptr && profile->enabled) {
-    for (std::size_t s = 0; s < profile->per_shard.size(); ++s) {
-      for (const auto& [t_min_ns, events] : profile->per_shard[s].epoch_log) {
-        json.BeginObject();
-        json.Key("ph");
-        json.String("C");
-        json.Key("cat");
-        json.String("engine");
-        json.Key("name");
-        json.String(StrFormat("engine.shard%zu.events_per_epoch", s));
-        json.Key("pid");
-        json.Int(2);
-        json.Key("tid");
-        json.Int(0);
-        json.Key("ts");
-        json.Double(static_cast<double>(t_min_ns) / 1e3);
-        json.Key("args");
-        json.BeginObject();
-        json.Key("value");
-        json.UInt(events);
-        json.EndObject();
-        json.EndObject();
-      }
-    }
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.str();
-}
-
 void AppendEngineProfileJson(const EngineProfile& profile, JsonWriter* json) {
   json->BeginObject();
-  json->Key("domains");
-  json->Int(profile.domains);
+  json->Key("groups");
+  json->Int(profile.groups);
   json->Key("shards");
   json->Int(profile.shards);
   json->Key("epochs");
   json->UInt(profile.epochs);
   json->Key("events");
   json->UInt(profile.events);
-  json->Key("channel_high_water");
-  json->UInt(profile.channel_high_water);
-  json->Key("overflow_spills");
-  json->UInt(profile.overflow_spills);
-  json->Key("overflow_drains");
-  json->UInt(profile.overflow_drains);
   json->Key("per_shard");
   json->BeginArray();
   for (const ShardProfile& shard : profile.per_shard) {
@@ -193,8 +151,6 @@ void AppendEngineProfileJson(const EngineProfile& profile, JsonWriter* json) {
     json->UInt(shard.events);
     json->Key("busy_epochs");
     json->UInt(shard.busy_epochs);
-    json->Key("lookahead_utilization");
-    json->Double(shard.lookahead_utilization());
     json->Key("barrier_wait_ms");
     json->Double(static_cast<double>(shard.barrier_wait_ns) / 1e6);
     json->Key("drain_ms");
@@ -276,7 +232,7 @@ void PrintStorageSummary(const StorageStats& s) {
 // Returns false on a write failure. Appends nothing and writes nothing
 // when telemetry is off, keeping obs-free output byte-identical.
 bool EmitTelemetry(const WorkloadTelemetry& telemetry,
-                   const EngineProfile* profile, const std::string& prom_out,
+                   const std::string& prom_out,
                    const std::string& ts_out, const std::string& alert_log,
                    const std::string& trace_counters, JsonWriter* json) {
   if (!telemetry.enabled()) {
@@ -313,10 +269,17 @@ bool EmitTelemetry(const WorkloadTelemetry& telemetry,
       !WriteTextOutput(alert_log, telemetry.alerts->ToLogLines())) {
     return false;
   }
-  if (!trace_counters.empty() &&
-      !WriteTextOutput(trace_counters,
-                       TraceCountersJson(*telemetry.series, profile))) {
-    return false;
+  if (!trace_counters.empty()) {
+    JsonWriter trace;
+    trace.BeginObject();
+    trace.Key("traceEvents");
+    trace.BeginArray();
+    telemetry.series->AppendChromeCounterTracks(&trace, /*pid=*/1);
+    trace.EndArray();
+    trace.EndObject();
+    if (!WriteTextOutput(trace_counters, trace.str())) {
+      return false;
+    }
   }
   return true;
 }
@@ -359,8 +322,6 @@ int Run(int argc, char** argv) {
   sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
   sharded_config.routers_per_group =
       static_cast<int>(flags.GetInt("group_routers", 2));
-  sharded_config.hop = SimTime::FromMicros(
-      flags.GetDouble("shard_hop_us", sharded_config.hop.micros()));
   sharded_config.group_sync_lag = tier_config.sync_lag;
   sharded_config.group_dispatch = tier_config.dispatch;
   SloConfig slo;
@@ -462,23 +423,22 @@ int Run(int argc, char** argv) {
     }
   }
 
-  for (const std::string& unknown : flags.UnqueriedFlags()) {
-    std::fprintf(stderr, "warning: unrecognized flag --%s\n",
-                 unknown.c_str());
+  if (flags.ReportUnqueried()) {
+    return 2;
   }
   if (shards >= 1 && !sweep_csv.empty()) {
     std::fprintf(stderr, "--sweep is not supported with --shards\n");
     return 1;
   }
   if (obs.enabled() && !sweep_csv.empty()) {
-    std::fprintf(stderr,
-                 "warning: telemetry flags are ignored with --sweep\n");
-    obs = WorkloadObsConfig();
+    std::fprintf(stderr, "error: telemetry flags do not apply to --sweep\n");
+    return 2;
   }
   if (shards >= 1 && routers > 0) {
     std::fprintf(stderr,
-                 "warning: --routers is ignored with --shards (use "
+                 "error: --routers does not apply to --shards (use "
                  "--group_routers)\n");
+    return 2;
   }
 
   JsonWriter json;
@@ -549,7 +509,7 @@ int Run(int argc, char** argv) {
   }
 
   if (shards >= 1) {
-    // Sharded parallel-engine run: one topology, `shards` event cores.
+    // Sharded run: one topology, its groups spread over `shards` threads.
     json.Key("sharded");
     json.BeginObject();
     json.Key("shards");
@@ -558,8 +518,6 @@ int Run(int argc, char** argv) {
     json.Int(sharded_config.groups);
     json.Key("group_routers");
     json.Int(sharded_config.routers_per_group);
-    json.Key("hop_us");
-    json.Double(sharded_config.hop.micros());
     json.Key("dispatch");
     json.String(DispatchModeId(sharded_config.group_dispatch));
     json.Key("sync_lag_ms");
@@ -580,11 +538,10 @@ int Run(int argc, char** argv) {
         spec, policy, workers, sharded_config, slo, platform_config);
     std::printf("%s\n", SloReportTable(run.report).c_str());
     std::printf("samples digest: %016llx, engine digest: %016llx, sim "
-                "events: %llu, epochs: %llu, wall: %.3f s, books %s\n",
+                "events: %llu, wall: %.3f s, books %s\n",
                 static_cast<unsigned long long>(run.samples_digest),
                 static_cast<unsigned long long>(run.engine_digest),
                 static_cast<unsigned long long>(run.sim_events),
-                static_cast<unsigned long long>(run.epochs),
                 run.wall_seconds, run.books_close ? "close" : "DO NOT CLOSE");
 
     json.Key("sample_count");
@@ -597,8 +554,6 @@ int Run(int argc, char** argv) {
                                          run.engine_digest)));
     json.Key("sim_events");
     json.UInt(run.sim_events);
-    json.Key("epochs");
-    json.UInt(run.epochs);
     json.Key("wall_seconds");
     json.Double(run.wall_seconds);
     json.Key("cold_starts");
@@ -667,8 +622,8 @@ int Run(int argc, char** argv) {
       json.Key("engine_profile");
       AppendEngineProfileJson(run.profile, &json);
     }
-    if (!EmitTelemetry(run.telemetry, &run.profile, prom_out, ts_out,
-                       alert_log, trace_counters, &json)) {
+    if (!EmitTelemetry(run.telemetry, prom_out, ts_out, alert_log,
+                       trace_counters, &json)) {
       return 1;
     }
     json.EndObject();
@@ -830,7 +785,7 @@ int Run(int argc, char** argv) {
       json.Key("samples");
       AppendSamplesJson(run.samples, &json);
     }
-    if (!EmitTelemetry(run.telemetry, nullptr, prom_out, ts_out, alert_log,
+    if (!EmitTelemetry(run.telemetry, prom_out, ts_out, alert_log,
                        trace_counters, &json)) {
       return 1;
     }

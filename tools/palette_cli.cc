@@ -562,10 +562,9 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  for (const std::string& unknown : flags.UnqueriedFlags()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", unknown.c_str());
-  }
-  return rc;
+  // Subcommands read their flags as they go, so the check runs last; a
+  // flag the subcommand never read still fails the invocation.
+  return flags.ReportUnqueried() ? 2 : rc;
 }
 
 }  // namespace
