@@ -4,14 +4,15 @@
 
 namespace palette {
 
-FaastCache::Shard::Shard(Bytes capacity) : lru(capacity) {
+FaastCache::Shard::Shard(Bytes capacity, const std::string& instance,
+                         InstanceId instance_id)
+    : owner(instance), id(instance_id), lru(capacity) {
   lru.set_eviction_hook(
       [this](const std::string& name, Bytes size) { Unindex(name, size); });
 }
 
 void FaastCache::Shard::Put(const std::string& name, Bytes size) {
-  const bool resident = lru.Contains(name);
-  const Bytes old_size = resident ? lru.SizeOf(name) : 0;
+  const std::optional<Bytes> old_size = lru.Peek(name);
   if (!lru.Put(name, size)) {
     return;
   }
@@ -23,18 +24,19 @@ void FaastCache::Shard::Put(const std::string& name, Bytes size) {
   if (it == keys.end()) {
     it = keys.emplace(std::string(key), KeyFootprint{}).first;
   }
-  it->second.bytes = it->second.bytes - old_size + size;
-  if (!resident) {
+  it->second.bytes = it->second.bytes - old_size.value_or(0) + size;
+  if (!old_size.has_value()) {
     ++it->second.objects;
   }
 }
 
 bool FaastCache::Shard::Erase(const std::string& name) {
-  const Bytes size = lru.SizeOf(name);
-  if (!lru.Erase(name)) {
+  const std::optional<Bytes> size = lru.Peek(name);
+  if (!size.has_value()) {
     return false;
   }
-  Unindex(name, size);
+  lru.Erase(name);
+  Unindex(name, *size);
   return true;
 }
 
@@ -55,17 +57,32 @@ const FaastCache::Shard* FaastCache::FindShard(
   return it == shards_.end() ? nullptr : &it->second;
 }
 
-void FaastCache::AddInstance(const std::string& instance) {
+void FaastCache::AddInstance(const std::string& instance, InstanceId id) {
   if (shards_.count(instance) > 0) {
     return;
   }
   ring_.AddMember(instance);
-  shards_.try_emplace(instance, config_.per_instance_capacity);
+  Shard& shard =
+      shards_.try_emplace(instance, config_.per_instance_capacity, instance, id)
+          .first->second;
+  if (id != kInvalidInstanceId) {
+    if (id >= shards_by_id_.size()) {
+      shards_by_id_.resize(id + 1, nullptr);
+    }
+    shards_by_id_[id] = &shard;
+  }
 }
 
 void FaastCache::RemoveInstance(const std::string& instance) {
   ring_.RemoveMember(instance);
-  shards_.erase(instance);
+  const auto it = shards_.find(instance);
+  if (it == shards_.end()) {
+    return;
+  }
+  if (it->second.id != kInvalidInstanceId) {
+    shards_by_id_[it->second.id] = nullptr;
+  }
+  shards_.erase(it);
 }
 
 bool FaastCache::HasInstance(const std::string& instance) const {
@@ -141,21 +158,33 @@ CacheLookup FaastCache::Get(const std::string& reader,
                             const std::string& object_name) {
   auto reader_it = shards_.find(reader);
   assert(reader_it != shards_.end() && "unknown reader instance");
+  return Get(reader_it->second, object_name);
+}
 
-  Shard& reader_shard = reader_it->second;
-  if (reader_shard.lru.Get(object_name)) {
+CacheLookup FaastCache::Get(InstanceId reader,
+                            const std::string& object_name) {
+  assert(reader < shards_by_id_.size() && shards_by_id_[reader] != nullptr &&
+         "unknown reader instance");
+  return Get(*shards_by_id_[reader], object_name);
+}
+
+CacheLookup FaastCache::Get(Shard& reader_shard,
+                            const std::string& object_name) {
+  if (const std::optional<Bytes> size = reader_shard.lru.Get(object_name)) {
     ++local_hits_;
-    const Bytes size = reader_shard.lru.SizeOf(object_name);
-    local_hit_bytes_ += size;
-    return CacheLookup{CacheOutcome::kLocalHit, reader, size};
+    local_hit_bytes_ += *size;
+    return CacheLookup{CacheOutcome::kLocalHit, reader_shard.owner, *size};
   }
 
   const auto home = HomeInstance(object_name);
-  if (home.has_value() && *home != reader) {
+  if (home.has_value() && *home != reader_shard.owner) {
     const Shard* home_shard = FindShard(*home);
-    if (home_shard != nullptr && home_shard->lru.Contains(object_name)) {
+    const std::optional<Bytes> resident =
+        home_shard != nullptr ? home_shard->lru.Peek(object_name)
+                              : std::nullopt;
+    if (resident.has_value()) {
       ++remote_hits_;
-      const Bytes size = home_shard->lru.SizeOf(object_name);
+      const Bytes size = *resident;
       remote_hit_bytes_ += size;
       if (config_.replicate_on_remote_hit) {
         reader_shard.Put(object_name, size);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/cache/lru_cache.h"
+#include "src/common/instance_id.h"
 #include "src/common/string_hash.h"
 #include "src/common/types.h"
 #include "src/hash/consistent_hash_ring.h"
@@ -60,8 +61,10 @@ class FaastCache {
   explicit FaastCache(FaastCacheConfig config = {});
 
   // Instance membership. Removing an instance drops its shard (the paper's
-  // semantics: state on a reclaimed worker is lost).
-  void AddInstance(const std::string& instance);
+  // semantics: state on a reclaimed worker is lost). Passing the instance's
+  // interned `id` also indexes the shard for the id overload of Get.
+  void AddInstance(const std::string& instance,
+                   InstanceId id = kInvalidInstanceId);
   void RemoveInstance(const std::string& instance);
   std::size_t instance_count() const { return shards_.size(); }
   bool HasInstance(const std::string& instance) const;
@@ -103,8 +106,13 @@ class FaastCache {
                      const std::string& object_name) const;
 
   // Reads an object from `reader`. Checks the reader's shard, then the home
-  // shard. Never mutates peer LRU order.
+  // shard. Never mutates peer LRU order. A local hit costs one probe of the
+  // reader's shard.
   CacheLookup Get(const std::string& reader, const std::string& object_name);
+  // The same read for a reader added with its interned id: the shard comes
+  // from an id-indexed table instead of a name lookup (the platform's
+  // per-invocation fetch path).
+  CacheLookup Get(InstanceId reader, const std::string& object_name);
 
   // Drops an object everywhere (used by tests and churn experiments).
   void Invalidate(const std::string& object_name);
@@ -168,9 +176,9 @@ class FaastCache {
   // that key's resident footprint. Every change to the LRU goes through
   // Put/Erase here or through LRU eviction, which the eviction hook
   // reports, so the index is always exact. Pinned in place: the hook
-  // points back at the shard.
+  // points back at the shard, and the id table points at it.
   struct Shard {
-    explicit Shard(Bytes capacity);
+    Shard(Bytes capacity, const std::string& instance, InstanceId instance_id);
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
@@ -180,16 +188,22 @@ class FaastCache {
     bool Erase(const std::string& name);
     void Unindex(std::string_view name, Bytes size);
 
+    const std::string owner;  // the instance (CacheLookup::owner)
+    const InstanceId id;      // kInvalidInstanceId when added by name only
     LruCache lru;
     std::unordered_map<std::string, KeyFootprint, TransparentStringHash,
                        std::equal_to<>>
         keys;
   };
   const Shard* FindShard(const std::string& instance) const;
+  CacheLookup Get(Shard& reader, const std::string& object_name);
 
   FaastCacheConfig config_;
   ConsistentHashRing ring_;
   std::unordered_map<std::string, Shard> shards_;
+  // shards_by_id_[id] is the shard of the instance added with interned id
+  // `id`, or null.
+  std::vector<Shard*> shards_by_id_;
   std::uint64_t local_hits_ = 0;
   std::uint64_t remote_hits_ = 0;
   std::uint64_t misses_ = 0;

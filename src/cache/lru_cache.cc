@@ -4,60 +4,49 @@ namespace palette {
 
 LruCache::LruCache(Bytes capacity_bytes) : capacity_(capacity_bytes) {}
 
-bool LruCache::Get(const std::string& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+std::optional<Bytes> LruCache::Get(std::string_view key) {
+  const Bytes* size = lru_.Touch(key);
+  if (size == nullptr) {
     ++misses_;
-    return false;
+    return std::nullopt;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return true;
+  return *size;
 }
 
-bool LruCache::Contains(const std::string& key) const {
-  return map_.count(key) > 0;
+std::optional<Bytes> LruCache::Peek(std::string_view key) const {
+  const Bytes* size = lru_.Peek(key);
+  return size == nullptr ? std::nullopt : std::optional<Bytes>(*size);
 }
 
-Bytes LruCache::SizeOf(const std::string& key) const {
-  auto it = map_.find(key);
-  return it == map_.end() ? 0 : it->second->size;
-}
-
-bool LruCache::Put(const std::string& key, Bytes size) {
+bool LruCache::Put(std::string_view key, Bytes size) {
   if (capacity_ != 0 && size > capacity_) {
     return false;
   }
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    used_ -= it->second->size;
-    it->second->size = size;
-    used_ += size;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (Bytes* resident = lru_.Touch(key)) {
+    used_ = used_ - *resident + size;
+    *resident = size;
     EvictUntilFits(0);
     return true;
   }
   EvictUntilFits(size);
-  lru_.push_front(Entry{key, size});
-  map_[key] = lru_.begin();
+  lru_.InsertFront(key, size);
   used_ += size;
   return true;
 }
 
-bool LruCache::Erase(const std::string& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+bool LruCache::Erase(std::string_view key) {
+  const Bytes* size = lru_.Peek(key);
+  if (size == nullptr) {
     return false;
   }
-  used_ -= it->second->size;
-  lru_.erase(it->second);
-  map_.erase(it);
+  used_ -= *size;
+  lru_.Erase(key);
   return true;
 }
 
 void LruCache::Clear() {
-  lru_.clear();
-  map_.clear();
+  lru_.Clear();
   used_ = 0;
 }
 
@@ -78,14 +67,13 @@ void LruCache::EvictUntilFits(Bytes incoming) {
     return;
   }
   while (!lru_.empty() && used_ + incoming > capacity_) {
-    const Entry& victim = lru_.back();
-    used_ -= victim.size;
+    const auto victim = lru_.back();
+    used_ -= victim.value;
     ++evictions_;
-    map_.erase(victim.key);
     if (eviction_hook_) {
-      eviction_hook_(victim.key, victim.size);
+      eviction_hook_(victim.key, victim.value);
     }
-    lru_.pop_back();
+    lru_.PopBack();
   }
 }
 

@@ -10,10 +10,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
+#include "src/common/lru_map.h"
 #include "src/common/types.h"
 
 namespace palette {
@@ -23,28 +24,31 @@ class LruCache {
   // `capacity_bytes` == 0 means unbounded (used by the MRC simulator).
   explicit LruCache(Bytes capacity_bytes);
 
-  // Looks up `key`, promoting it to most-recently-used on hit.
-  bool Get(const std::string& key);
+  // Looks up `key`, promoting it to most-recently-used on hit. Returns its
+  // size on a hit (one hash probe), nullopt on a miss.
+  std::optional<Bytes> Get(std::string_view key);
 
-  // Peeks without updating recency. Used for peer lookups, which should not
-  // distort the owner's LRU order.
-  bool Contains(const std::string& key) const;
+  // Peeks without updating recency or stats. Used for peer lookups, which
+  // should not distort the owner's LRU order.
+  bool Contains(std::string_view key) const { return lru_.Contains(key); }
+  // Size of `key` if present (a peek, like Contains).
+  std::optional<Bytes> Peek(std::string_view key) const;
 
   // Size of `key` if present, else 0.
-  Bytes SizeOf(const std::string& key) const;
+  Bytes SizeOf(std::string_view key) const { return Peek(key).value_or(0); }
 
   // Inserts or refreshes `key`, evicting LRU entries as needed. An object
   // larger than the whole capacity is not admitted (returns false).
-  bool Put(const std::string& key, Bytes size);
+  bool Put(std::string_view key, Bytes size);
 
   // Removes `key`; returns true if it was present.
-  bool Erase(const std::string& key);
+  bool Erase(std::string_view key);
 
   void Clear();
 
   Bytes used_bytes() const { return used_; }
   Bytes capacity_bytes() const { return capacity_; }
-  std::size_t object_count() const { return map_.size(); }
+  std::size_t object_count() const { return lru_.size(); }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -61,24 +65,15 @@ class LruCache {
   // without touching recency or stats. Used by planner migration to list a
   // color's cached objects in recency order.
   void ForEach(const std::function<void(const std::string&, Bytes)>& fn) const {
-    for (const Entry& entry : lru_) {
-      fn(entry.key, entry.size);
-    }
+    lru_.ForEach(fn);
   }
 
  private:
-  struct Entry {
-    std::string key;
-    Bytes size;
-  };
-  using List = std::list<Entry>;
-
   void EvictUntilFits(Bytes incoming);
 
   Bytes capacity_;
   Bytes used_ = 0;
-  List lru_;  // front = most recently used
-  std::unordered_map<std::string, List::iterator> map_;
+  LruMap<Bytes> lru_;  // object name -> size
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -11,23 +11,28 @@ InstanceRegistry& InstanceRegistry::Global() {
 }
 
 InstanceId InstanceRegistry::Intern(std::string_view name) {
+  return InternWithName(name).first;
+}
+
+std::pair<InstanceId, const std::string&> InstanceRegistry::InternWithName(
+    std::string_view name) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     const auto it = ids_.find(name);
     if (it != ids_.end()) {
-      return it->second;
+      return {it->second, names_[it->second]};
     }
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   // Re-check: another thread may have interned between the locks.
   const auto it = ids_.find(name);
   if (it != ids_.end()) {
-    return it->second;
+    return {it->second, names_[it->second]};
   }
   const InstanceId id = static_cast<InstanceId>(names_.size());
   names_.emplace_back(name);
   ids_.emplace(names_.back(), id);
-  return id;
+  return {id, names_.back()};
 }
 
 std::optional<InstanceId> InstanceRegistry::Find(std::string_view name) const {

@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace palette {
 
@@ -38,6 +39,10 @@ class InstanceRegistry {
 
   // Returns the id for `name`, interning it on first sight.
   InstanceId Intern(std::string_view name);
+  // Intern that also returns the interned name (as NameOf would, stable for
+  // the process lifetime) in the same lock round trip.
+  std::pair<InstanceId, const std::string&> InternWithName(
+      std::string_view name);
 
   // Returns the id for `name` if already interned.
   std::optional<InstanceId> Find(std::string_view name) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
 
 namespace palette {
 
@@ -56,16 +58,39 @@ double ClampRank(double p) {
   return p > 100.0 ? 100.0 : p;
 }
 
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  if (sorted.size() == 1) {
-    return sorted[0];
-  }
-  const double rank =
-      (ClampRank(p) / 100.0) * static_cast<double>(sorted.size() - 1);
+// Linear interpolation between closest ranks: the percentile reads the
+// order statistics at positions `lo` and `lo + 1` (clamped), weighted by
+// `frac`.
+struct Rank {
+  std::size_t lo = 0;
+  double frac = 0;
+};
+
+Rank RankOf(double p, std::size_t n) {
+  const double rank = (ClampRank(p) / 100.0) * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return Rank{lo, rank - static_cast<double>(lo)};
+}
+
+// The percentile at `r` by selection instead of a sort. Requires every value
+// in [0, from) to be no larger than any value in [from, end) and
+// from <= r.lo; reorders [from, end) so that v[r.lo] holds the r.lo-th
+// order statistic (and the prefix invariant then holds for from = r.lo).
+// Reads the same two order statistics a sorted copy would, with the same
+// arithmetic, so the result is bit-identical to sorting.
+double SelectPercentile(std::vector<double>& v, std::size_t from, Rank r) {
+  if (v.size() == 1) {
+    return v[0];
+  }
+  const auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(v.begin() + static_cast<std::ptrdiff_t>(from), lo_it,
+                   v.end());
+  const double lo = *lo_it;
+  // Everything after lo_it is >= lo, so its minimum is the next order
+  // statistic.
+  const double hi =
+      r.lo + 1 < v.size() ? *std::min_element(lo_it + 1, v.end()) : lo;
+  return lo + r.frac * (hi - lo);
 }
 
 }  // namespace
@@ -74,8 +99,7 @@ double Percentile(std::vector<double> samples, double p) {
   if (samples.empty()) {
     return 0.0;
   }
-  std::sort(samples.begin(), samples.end());
-  return SortedPercentile(samples, p);
+  return SelectPercentile(samples, 0, RankOf(p, samples.size()));
 }
 
 std::vector<double> Percentiles(std::vector<double> samples,
@@ -84,9 +108,20 @@ std::vector<double> Percentiles(std::vector<double> samples,
   if (samples.empty()) {
     return out;
   }
-  std::sort(samples.begin(), samples.end());
+  // Select in ascending rank order, each on the tail the previous selection
+  // left unsorted.
+  std::vector<std::pair<Rank, std::size_t>> ranks;
+  ranks.reserve(ps.size());
   for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = SortedPercentile(samples, ps[i]);
+    ranks.emplace_back(RankOf(ps[i], samples.size()), i);
+  }
+  std::sort(ranks.begin(), ranks.end(), [](const auto& a, const auto& b) {
+    return a.first.lo < b.first.lo;
+  });
+  std::size_t from = 0;
+  for (const auto& [rank, i] : ranks) {
+    out[i] = SelectPercentile(samples, from, rank);
+    from = rank.lo;
   }
   return out;
 }

@@ -49,15 +49,19 @@ class RunningStats {
 };
 
 // Percentile of a sample set using linear interpolation between closest
-// ranks. The input is copied and sorted. Defensive contract (the SLO
+// ranks. The two order statistics it needs are found by selection
+// (nth_element, then a min over the tail) on the copied input, in O(n)
+// instead of a sort's O(n log n); the result is bit-identical to reading
+// them from a sorted copy. Defensive contract (the SLO
 // scorer calls this on possibly-empty per-color buckets): an empty sample
 // set returns 0; `p` is clamped to [0, 100], with NaN treated as 0 — so
 // out-of-range ranks return min/max instead of reading out of bounds.
 double Percentile(std::vector<double> samples, double p);
 
-// Percentiles at each rank in `ps`, sorting `samples` once (same
-// interpolation and clamping as Percentile). Returns one value per entry
-// of `ps`, in order; all zeros for empty input.
+// Percentiles at each rank in `ps` (same interpolation and clamping as
+// Percentile), selecting the ranks in ascending order, each on the tail the
+// previous selection left. Returns one value per entry of `ps`, in the
+// order given; all zeros for empty input.
 std::vector<double> Percentiles(std::vector<double> samples,
                                 const std::vector<double>& ps);
 

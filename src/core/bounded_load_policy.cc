@@ -58,24 +58,21 @@ std::optional<InstanceId> BoundedLoadPolicy::RouteColoredId(
     return std::nullopt;
   }
   const std::string_view key = color.substr(0, config_.max_color_bytes);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    if (it->second->instance == kInvalidInstanceId) {
+  if (InstanceId* assigned = table_.Touch(key)) {
+    if (*assigned == kInvalidInstanceId) {
       const auto revived = PlaceColor(key);
       assert(revived.has_value());
-      it->second->instance = *revived;
+      *assigned = *revived;
       ++assigned_counts_[*revived];
     }
-    return it->second->instance;
+    return *assigned;
   }
   const auto target = PlaceColor(key);
   assert(target.has_value());
   if (table_.size() >= config_.table_capacity) {
     EvictLru();
   }
-  lru_.push_front(Entry{std::string(key), *target});
-  table_.emplace(lru_.front().color, lru_.begin());
+  table_.InsertFront(key, *target);
   ++assigned_counts_[*target];
   return target;
 }
@@ -86,22 +83,20 @@ void BoundedLoadPolicy::RemapColor(std::string_view color, InstanceId to,
     return;  // Target left between snapshot and apply; skip the remap.
   }
   const std::string_view key = color.substr(0, config_.max_color_bytes);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    if (it->second->instance == to) {
+  if (InstanceId* assigned = table_.Peek(key)) {
+    if (*assigned == to) {
       return;
     }
-    auto old_it = assigned_counts_.find(it->second->instance);
+    auto old_it = assigned_counts_.find(*assigned);
     if (old_it != assigned_counts_.end() && old_it->second > 0) {
       --old_it->second;
     }
-    it->second->instance = to;
+    *assigned = to;
   } else {
     if (table_.size() >= config_.table_capacity) {
       EvictLru();
     }
-    lru_.push_front(Entry{std::string(key), to});
-    table_.emplace(lru_.front().color, lru_.begin());
+    table_.InsertFront(key, to);
   }
   ++assigned_counts_[to];
   if (count_move) {
@@ -130,12 +125,12 @@ void BoundedLoadPolicy::ObserveRoute(std::string_view color,
 
 std::optional<InstanceId> BoundedLoadPolicy::PeekColorId(
     std::string_view color) const {
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
-  const auto it = table_.find(key);
-  if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
+  const InstanceId* assigned =
+      table_.Peek(color.substr(0, config_.max_color_bytes));
+  if (assigned == nullptr || *assigned == kInvalidInstanceId) {
     return std::nullopt;
   }
-  return it->second->instance;
+  return *assigned;
 }
 
 void BoundedLoadPolicy::OnInstanceAdded(const std::string& instance) {
@@ -158,30 +153,27 @@ void BoundedLoadPolicy::OnInstanceRemoved(const std::string& instance) {
   // Only colors on the removed instance move: they re-walk their ring
   // order, preserving the bounded-load invariant. Each is a re-colored
   // mapping.
-  for (auto& entry : lru_) {
-    if (entry.instance != *removed) {
-      continue;
+  table_.ForEach([&](const std::string& color, InstanceId& assigned) {
+    if (assigned != *removed) {
+      return;
     }
     ++recolored_;
-    const auto target = PlaceColor(entry.color);
+    const auto target = PlaceColor(color);
     if (!target.has_value()) {
-      entry.instance = kInvalidInstanceId;
-      continue;
+      assigned = kInvalidInstanceId;
+      return;
     }
-    entry.instance = *target;
+    assigned = *target;
     ++assigned_counts_[*target];
-  }
+  });
 }
 
 void BoundedLoadPolicy::EvictLru() {
-  assert(!lru_.empty());
-  const Entry& victim = lru_.back();
-  auto it = assigned_counts_.find(victim.instance);
+  auto it = assigned_counts_.find(table_.back().value);
   if (it != assigned_counts_.end() && it->second > 0) {
     --it->second;
   }
-  table_.erase(victim.color);
-  lru_.pop_back();
+  table_.PopBack();
 }
 
 std::size_t BoundedLoadPolicy::AssignedCount(

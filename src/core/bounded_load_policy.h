@@ -19,12 +19,11 @@
 #define PALETTE_SRC_CORE_BOUNDED_LOAD_POLICY_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/string_hash.h"
+#include "src/common/lru_map.h"
 #include "src/core/color_scheduling_policy.h"
 #include "src/hash/consistent_hash_ring.h"
 
@@ -67,12 +66,6 @@ class BoundedLoadPolicy : public PolicyBase {
   double RelativeMaxAssigned() const;
 
  private:
-  struct Entry {
-    std::string color;
-    InstanceId instance = kInvalidInstanceId;
-  };
-  using List = std::list<Entry>;
-
   // First instance in `color`'s ring order with spare capacity (falls back
   // to the globally least-assigned when every instance is at the cap).
   std::optional<InstanceId> PlaceColor(std::string_view truncated);
@@ -83,10 +76,9 @@ class BoundedLoadPolicy : public PolicyBase {
 
   BoundedLoadConfig config_;
   ConsistentHashRing ring_;
-  List lru_;  // front = most recently used
-  std::unordered_map<std::string, List::iterator, TransparentStringHash,
-                     std::equal_to<>>
-      table_;
+  // Truncated color -> settled instance (kInvalidInstanceId while
+  // dormant), in recency order.
+  LruMap<InstanceId> table_;
   std::unordered_map<InstanceId, std::size_t> assigned_counts_;
   std::vector<InstanceId> walk_buffer_;  // scratch for ring walks
 };

@@ -17,25 +17,22 @@ std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
     return std::nullopt;
   }
   const std::string_view key = color.substr(0, config_.max_color_bytes);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    if (it->second->instance == kInvalidInstanceId) {
+  if (InstanceId* assigned = table_.Touch(key)) {
+    if (*assigned == kInvalidInstanceId) {
       // Mapping went dormant while no instances existed; reassign now.
       const auto revived = LeastLoadedInstance();
       assert(revived.has_value());
-      it->second->instance = *revived;
+      *assigned = *revived;
       ++assigned_counts_[*revived];
     }
-    return it->second->instance;
+    return *assigned;
   }
   const auto target = LeastLoadedInstance();
   assert(target.has_value());
   if (table_.size() >= config_.table_capacity) {
     EvictLru();
   }
-  lru_.push_front(Entry{std::string(key), *target});
-  table_.emplace(lru_.front().color, lru_.begin());
+  table_.InsertFront(key, *target);
   ++assigned_counts_[*target];
   return target;
 }
@@ -56,19 +53,19 @@ void LeastAssignedPolicy::OnInstanceRemoved(const std::string& instance) {
   // walking from most- to least-recently used so hot colors get first pick
   // of the least-loaded instances. Each moved (or dormant-marked) entry is
   // a re-colored mapping: a retried hint will land on the new instance.
-  for (auto& entry : lru_) {
-    if (entry.instance != *removed) {
-      continue;
+  table_.ForEach([&](const std::string&, InstanceId& assigned) {
+    if (assigned != *removed) {
+      return;
     }
     ++recolored_;
     const auto target = LeastLoadedInstance();
     if (!target.has_value()) {
-      entry.instance = kInvalidInstanceId;  // No instances left; dormant.
-      continue;
+      assigned = kInvalidInstanceId;  // No instances left; dormant.
+      return;
     }
-    entry.instance = *target;
+    assigned = *target;
     ++assigned_counts_[*target];
-  }
+  });
 }
 
 void LeastAssignedPolicy::RemapColor(std::string_view color, InstanceId to,
@@ -79,22 +76,20 @@ void LeastAssignedPolicy::RemapColor(std::string_view color, InstanceId to,
     return;
   }
   const std::string_view key = color.substr(0, config_.max_color_bytes);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
-    if (it->second->instance == to) {
+  if (InstanceId* assigned = table_.Peek(key)) {
+    if (*assigned == to) {
       return;
     }
-    auto old_it = assigned_counts_.find(it->second->instance);
+    auto old_it = assigned_counts_.find(*assigned);
     if (old_it != assigned_counts_.end() && old_it->second > 0) {
       --old_it->second;
     }
-    it->second->instance = to;
+    *assigned = to;
   } else {
     if (table_.size() >= config_.table_capacity) {
       EvictLru();
     }
-    lru_.push_front(Entry{std::string(key), to});
-    table_.emplace(lru_.front().color, lru_.begin());
+    table_.InsertFront(key, to);
   }
   ++assigned_counts_[to];
   if (count_move) {
@@ -126,12 +121,12 @@ void LeastAssignedPolicy::ObserveRoute(std::string_view color,
 
 std::optional<InstanceId> LeastAssignedPolicy::PeekColorId(
     std::string_view color) const {
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
-  const auto it = table_.find(key);
-  if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
+  const InstanceId* assigned =
+      table_.Peek(color.substr(0, config_.max_color_bytes));
+  if (assigned == nullptr || *assigned == kInvalidInstanceId) {
     return std::nullopt;
   }
-  return it->second->instance;
+  return *assigned;
 }
 
 std::size_t LeastAssignedPolicy::CountOf(InstanceId id) const {
@@ -153,14 +148,11 @@ std::optional<InstanceId> LeastAssignedPolicy::LeastLoadedInstance() const {
 }
 
 void LeastAssignedPolicy::EvictLru() {
-  assert(!lru_.empty());
-  const Entry& victim = lru_.back();
-  auto count_it = assigned_counts_.find(victim.instance);
+  auto count_it = assigned_counts_.find(table_.back().value);
   if (count_it != assigned_counts_.end() && count_it->second > 0) {
     --count_it->second;
   }
-  table_.erase(victim.color);
-  lru_.pop_back();
+  table_.PopBack();
   ++evictions_;
 }
 
@@ -172,12 +164,11 @@ std::size_t LeastAssignedPolicy::AssignedCount(
 
 std::optional<std::string> LeastAssignedPolicy::LookupColor(
     std::string_view color) const {
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
-  const auto it = table_.find(key);
-  if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
+  const auto id = PeekColorId(color);
+  if (!id.has_value()) {
     return std::nullopt;
   }
-  return InstanceName(it->second->instance);
+  return InstanceName(*id);
 }
 
 std::size_t LeastAssignedPolicy::StateBytes() const {

@@ -12,18 +12,17 @@
 // the least assigned); when an instance is removed its colors are
 // immediately redistributed with the same least-assigned rule.
 //
-// Hot path: table entries store interned InstanceIds (4 bytes, integer
-// hashing) instead of instance name strings, and lookups probe the table
-// with the truncated string_view directly — the hit path allocates nothing.
+// Hot path: table entries store interned InstanceIds (4 bytes) instead of
+// instance name strings, and lookups probe the table with the truncated
+// string_view directly — a hit is one probe and allocates nothing.
 #ifndef PALETTE_SRC_CORE_LEAST_ASSIGNED_POLICY_H_
 #define PALETTE_SRC_CORE_LEAST_ASSIGNED_POLICY_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
 #include <unordered_map>
 
-#include "src/common/string_hash.h"
+#include "src/common/lru_map.h"
 #include "src/core/color_scheduling_policy.h"
 
 namespace palette {
@@ -58,12 +57,6 @@ class LeastAssignedPolicy : public PolicyBase {
   std::optional<std::string> LookupColor(std::string_view color) const;
 
  private:
-  struct Entry {
-    std::string color;                       // truncated key
-    InstanceId instance = kInvalidInstanceId;  // current assignment
-  };
-  using List = std::list<Entry>;
-
   // The instance with the fewest assigned colors (deterministic tie-break:
   // first in name-sorted order).
   std::optional<InstanceId> LeastLoadedInstance() const;
@@ -74,10 +67,9 @@ class LeastAssignedPolicy : public PolicyBase {
   void RemapColor(std::string_view color, InstanceId to, bool count_move);
 
   LeastAssignedConfig config_;
-  List lru_;  // front = most recently used
-  std::unordered_map<std::string, List::iterator, TransparentStringHash,
-                     std::equal_to<>>
-      table_;
+  // Truncated color -> current assignment (kInvalidInstanceId while
+  // dormant), in recency order.
+  LruMap<InstanceId> table_;
   std::unordered_map<InstanceId, std::size_t> assigned_counts_;
   std::uint64_t evictions_ = 0;
 };

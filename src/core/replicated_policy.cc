@@ -24,9 +24,9 @@ bool ReplicatedColorPolicy::IsHot(std::string_view color) const {
   if (!config_.adaptive) {
     return true;
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
-  const auto it = table_.find(key);
-  return it != table_.end() && it->second->hot;
+  const ColorState* state =
+      table_.Peek(color.substr(0, config_.max_color_bytes));
+  return state != nullptr && state->hot;
 }
 
 void ReplicatedColorPolicy::MaybeDecay() {
@@ -36,10 +36,10 @@ void ReplicatedColorPolicy::MaybeDecay() {
   }
   routes_since_decay_ = 0;
   window_total_ = 0;
-  for (auto& entry : lru_) {
-    entry.count /= 2;
-    window_total_ += entry.count;
-  }
+  table_.ForEach([&](const std::string&, ColorState& state) {
+    state.count /= 2;
+    window_total_ += state.count;
+  });
 }
 
 std::optional<InstanceId> ReplicatedColorPolicy::RouteColoredId(
@@ -49,20 +49,15 @@ std::optional<InstanceId> ReplicatedColorPolicy::RouteColoredId(
   }
   const std::string_view key = color.substr(0, config_.max_color_bytes);
 
-  auto it = table_.find(key);
-  if (it == table_.end()) {
+  ColorState* state = table_.Touch(key);
+  if (state == nullptr) {
     if (table_.size() >= config_.table_capacity) {
-      const Entry& victim = lru_.back();
-      window_total_ -= std::min(window_total_, victim.count);
-      table_.erase(victim.color);
-      lru_.pop_back();
+      window_total_ -= std::min(window_total_, table_.back().value.count);
+      table_.PopBack();
     }
-    lru_.push_front(Entry{std::string(key), 0, 0});
-    it = table_.emplace(lru_.front().color, lru_.begin()).first;
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second);
+    state = &table_.InsertFront(key, ColorState{});
   }
-  ++it->second->count;
+  ++state->count;
   ++window_total_;
   MaybeDecay();
 
@@ -70,23 +65,23 @@ std::optional<InstanceId> ReplicatedColorPolicy::RouteColoredId(
     // Hysteresis: enter hot at share > θ, exit only below θ/2. Decay
     // halves every count and the window total together, so decay alone
     // never flips the state — only a real share change does.
-    const double share = static_cast<double>(it->second->count) /
+    const double share = static_cast<double>(state->count) /
                          static_cast<double>(window_total_);
-    if (!it->second->hot && share > config_.hot_share_threshold) {
-      it->second->hot = true;
-    } else if (it->second->hot &&
-               share < config_.hot_share_threshold / 2) {
-      it->second->hot = false;
+    if (!state->hot && share > config_.hot_share_threshold) {
+      state->hot = true;
+    } else if (state->hot && share < config_.hot_share_threshold / 2) {
+      state->hot = false;
     }
   }
 
   // Hot colors spread over the full replica set; cold ones keep one
   // instance (full locality). Non-adaptive mode treats everything as hot.
+  const bool hot = !config_.adaptive || state->hot;
   const std::size_t set_size =
-      IsHot(key) ? static_cast<std::size_t>(config_.replicas) : 1;
+      hot ? static_cast<std::size_t>(config_.replicas) : 1;
   ring_.LookupNIds(key, set_size, &replica_buffer_);
   assert(!replica_buffer_.empty());
-  const std::uint32_t cursor = it->second->cursor++;
+  const std::uint32_t cursor = state->cursor++;
   return replica_buffer_[cursor % replica_buffer_.size()];
 }
 

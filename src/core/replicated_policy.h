@@ -18,12 +18,10 @@
 #define PALETTE_SRC_CORE_REPLICATED_POLICY_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/string_hash.h"
+#include "src/common/lru_map.h"
 #include "src/core/color_scheduling_policy.h"
 #include "src/hash/consistent_hash_ring.h"
 
@@ -77,22 +75,17 @@ class ReplicatedColorPolicy : public PolicyBase {
   bool IsHot(std::string_view color) const;
 
  private:
-  struct Entry {
-    std::string color;
+  struct ColorState {
     std::uint32_t cursor = 0;
     std::uint64_t count = 0;  // decayed request count (adaptive mode)
     bool hot = false;         // hysteresis state: enter at θ, exit at θ/2
   };
-  using List = std::list<Entry>;
 
   void MaybeDecay();
 
   ReplicatedColorConfig config_;
   ConsistentHashRing ring_;
-  List lru_;
-  std::unordered_map<std::string, List::iterator, TransparentStringHash,
-                     std::equal_to<>>
-      table_;
+  LruMap<ColorState> table_;  // truncated color -> state, recency order
   std::uint64_t routes_since_decay_ = 0;
   std::uint64_t window_total_ = 0;  // decayed total across colors
   std::vector<InstanceId> replica_buffer_;  // scratch for ring walks

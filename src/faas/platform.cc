@@ -58,14 +58,18 @@ FaasPlatform::FaasPlatform(Simulator* sim, PolicyKind policy,
 }
 
 void FaasPlatform::AddWorker(const std::string& name, double speed) {
-  const InstanceId id = InternInstance(name);
-  if (workers_.count(id) > 0) {
+  const auto [id, interned] = InstanceRegistry::Global().InternWithName(name);
+  if (HasWorkerId(id)) {
     return;
   }
   assert(speed > 0);
-  workers_.emplace(id, std::make_unique<Worker>(sim_, speed));
-  network_ptr_->AddNode(name);
-  cache_.AddInstance(name);
+  if (id >= workers_.size()) {
+    workers_.resize(id + 1);
+  }
+  workers_[id] = std::make_unique<Worker>(sim_, interned, speed);
+  ++worker_count_;
+  network_ptr_->AddNode(interned, id);
+  cache_.AddInstance(interned, id);
   if (storage_ != nullptr) {
     storage_->OnInstanceJoin(name);
   }
@@ -86,8 +90,8 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
   if (!id.has_value()) {
     return;
   }
-  const auto it = workers_.find(*id);
-  if (it == workers_.end()) {
+  Worker* worker = FindWorker(*id);
+  if (worker == nullptr) {
     return;
   }
   // Graceful drain: the running attempt (if any) already left the queue
@@ -96,8 +100,9 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
   // for good and returns to the head of its color queue instead (no retry
   // budget burned). Membership is updated first so the policy re-colors
   // before any retry re-routes.
-  std::deque<AttemptPtr> orphans = std::move(it->second->queue);
-  workers_.erase(it);
+  std::deque<AttemptPtr> orphans = std::move(worker->queue);
+  workers_[*id].reset();
+  --worker_count_;
   idle_workers_.erase(*id);
   if (storage_ != nullptr) {
     // Graceful leave: dirty write-back data flushes before the shard is
@@ -107,7 +112,7 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
   cache_.RemoveInstance(name);
   lb_.RemoveInstance(name);
   NotifyMembership(MembershipEvent::kRemoved, name);
-  if (pull_enabled() && !workers_.empty()) {
+  if (pull_enabled() && worker_count_ > 0) {
     for (auto rit = orphans.rbegin(); rit != orphans.rend(); ++rit) {
       ReleaseStealSlot(*rit);
       if (!(*rit)->cancelled) {
@@ -121,7 +126,7 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
       HandleFailure(attempt, FailureReason::kWorkerLost);
     }
   }
-  if (workers_.empty()) {
+  if (worker_count_ == 0) {
     FailAllPending();
   }
 }
@@ -131,8 +136,8 @@ void FaasPlatform::CrashWorker(const std::string& name) {
   if (!id.has_value()) {
     return;
   }
-  const auto it = workers_.find(*id);
-  if (it == workers_.end()) {
+  Worker* worker = FindWorker(*id);
+  if (worker == nullptr) {
     return;
   }
   // Hard failure: the running attempt dies too — its partial work is lost
@@ -141,9 +146,10 @@ void FaasPlatform::CrashWorker(const std::string& name) {
   // crashed worker's claimed-but-unstarted FIFO entries were never started,
   // so they return to the head of their color queues (books still close;
   // no retry budget burned), while the running attempt fails as usual.
-  std::deque<AttemptPtr> orphans = std::move(it->second->queue);
-  AttemptPtr running = std::move(it->second->running);
-  workers_.erase(it);
+  std::deque<AttemptPtr> orphans = std::move(worker->queue);
+  AttemptPtr running = std::move(worker->running);
+  workers_[*id].reset();
+  --worker_count_;
   idle_workers_.erase(*id);
   if (storage_ != nullptr) {
     // Hard failure: dirty write-back data dies with the shard — bounded
@@ -157,7 +163,7 @@ void FaasPlatform::CrashWorker(const std::string& name) {
     ReleaseStealSlot(running);
     HandleFailure(running, FailureReason::kWorkerLost);
   }
-  if (pull_enabled() && !workers_.empty()) {
+  if (pull_enabled() && worker_count_ > 0) {
     for (auto rit = orphans.rbegin(); rit != orphans.rend(); ++rit) {
       ReleaseStealSlot(*rit);
       if (!(*rit)->cancelled) {
@@ -171,42 +177,42 @@ void FaasPlatform::CrashWorker(const std::string& name) {
       HandleFailure(attempt, FailureReason::kWorkerLost);
     }
   }
-  if (workers_.empty()) {
+  if (worker_count_ == 0) {
     FailAllPending();
   }
 }
 
 bool FaasPlatform::HasWorker(const std::string& name) const {
   const auto id = InstanceRegistry::Global().Find(name);
-  return id.has_value() && workers_.count(*id) > 0;
+  return id.has_value() && HasWorkerId(*id);
 }
 
 std::vector<std::string> FaasPlatform::WorkerNames() const {
   std::vector<std::string> names;
-  names.reserve(workers_.size());
-  for (const auto& [id, _] : workers_) {
-    names.push_back(InstanceName(id));
+  names.reserve(worker_count_);
+  for (const auto& worker : workers_) {
+    if (worker != nullptr) {
+      names.push_back(worker->name);
+    }
   }
   std::sort(names.begin(), names.end());
   return names;
 }
 
 std::string FaasPlatform::DrainCandidateWorker() const {
-  // Minimum over (depth, InstanceId): order-independent, so the victim is
-  // stable no matter how workers_ happens to iterate. Ids intern in join
-  // order, which is identical across rebuilds and shard counts — name
-  // order is not ("w10" sorts before "w2").
-  InstanceId best = kInvalidInstanceId;
-  std::size_t best_depth = 0;
-  for (const auto& [id, worker] : workers_) {
-    const std::size_t depth = worker->queue.size();
-    if (best == kInvalidInstanceId || depth < best_depth ||
-        (depth == best_depth && id < best)) {
-      best = id;
-      best_depth = depth;
+  // Minimum over (depth, InstanceId): the scan runs in ascending id order
+  // and only a strictly shallower queue replaces the best, so ties keep the
+  // smallest id. Ids intern in join order, which is identical across
+  // rebuilds and shard counts — name order is not ("w10" sorts before
+  // "w2").
+  const Worker* best = nullptr;
+  for (const auto& worker : workers_) {
+    if (worker != nullptr &&
+        (best == nullptr || worker->queue.size() < best->queue.size())) {
+      best = worker.get();
     }
   }
-  return best == kInvalidInstanceId ? std::string() : InstanceName(best);
+  return best == nullptr ? std::string() : best->name;
 }
 
 void FaasPlatform::SeedStorageObject(const std::string& name, Bytes size) {
@@ -243,7 +249,7 @@ std::optional<std::uint64_t> FaasPlatform::InvokeVia(
   // it is only consumed once the first attempt routes successfully.
   const std::uint64_t id = next_id_;
   const auto target = route(spec.color, id, /*attempt=*/1);
-  if (!target.has_value() || workers_.count(target->instance) == 0) {
+  if (!target.has_value() || !HasWorkerId(target->instance)) {
     return std::nullopt;
   }
   next_id_ = id + 1;
@@ -266,18 +272,20 @@ std::optional<std::uint64_t> FaasPlatform::InvokeVia(
 void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   attempt->worker = target;
   InvocationResult& result = *attempt->result;
-  result.instance = InstanceName(target);
   result.attempts = attempt->number;
   result.cold_start = SimTime();
 
-  const auto worker_it = workers_.find(target);
-  if (worker_it == workers_.end()) {
+  Worker* const routed = FindWorker(target);
+  if (routed == nullptr) {
     // An external route function pointed at a worker the cluster no longer
     // runs (the platform's own LB never does this). Fail the attempt; the
     // retry layer re-routes it through the route function afresh.
+    result.instance = InstanceName(target);
     HandleFailure(attempt, FailureReason::kWorkerLost);
     return;
   }
+  Worker& worker = *routed;
+  result.instance = worker.name;
   if (attempt->route != nullptr && attempt->spec->color.has_value()) {
     // Externally routed (tier) traffic never touches lb_.RouteId, so the
     // platform-side planner's snapshots would see nothing. Teach the LB the
@@ -294,7 +302,6 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       output.name = lb_.TranslateObjectName(output.name);
     }
   }
-  Worker& worker = *worker_it->second;
 
   const SimTime budget = attempt->spec->deadline > SimTime()
                              ? attempt->spec->deadline
@@ -334,7 +341,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       return *placed == target;
     }
     const auto ring_home = cache_.HomeInstance(key);
-    return ring_home.has_value() && *ring_home == InstanceName(target);
+    return ring_home.has_value() && *ring_home == worker.name;
   }();
   const bool bind_now =
       config_.dispatch_mode == FaasDispatchMode::kPush || hybrid_push_ok;
@@ -349,7 +356,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       if (attempt->cancelled) {
         return;  // deadline expired while in dispatch flight
       }
-      if (workers_.empty()) {
+      if (worker_count_ == 0) {
         HandleFailure(attempt, FailureReason::kWorkerLost);
         return;
       }
@@ -382,9 +389,9 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
 
   sim_->At(dispatch_done, [this, attempt, target]() {
     // The request arrives at the instance and joins its FIFO run queue.
-    auto it = workers_.find(target);
-    if (it != workers_.end()) {
-      it->second->claiming = false;
+    Worker* arrived = FindWorker(target);
+    if (arrived != nullptr) {
+      arrived->claiming = false;
     }
     if (attempt->cancelled) {
       // Deadline expired while in dispatch flight; in hybrid mode the
@@ -392,11 +399,11 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       MaybeIdle(target);
       return;
     }
-    if (it == workers_.end()) {
+    if (arrived == nullptr) {
       // Worker removed while the request was in flight. Under pull/hybrid
       // the request was never hard-bound: re-enter the pending queues if
       // the cluster still has workers.
-      if (pull_enabled() && !workers_.empty()) {
+      if (pull_enabled() && worker_count_ > 0) {
         EnqueuePending(attempt, /*front=*/false);
         MatchPending();
         return;
@@ -404,8 +411,8 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       HandleFailure(attempt, FailureReason::kWorkerLost);
       return;
     }
-    it->second->queue.push_back(attempt);
-    if (!it->second->busy) {
+    arrived->queue.push_back(attempt);
+    if (!arrived->busy) {
       StartNextOnWorker(target);
     }
   });
@@ -433,11 +440,11 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
     RemoveFromPending(attempt);
     return;
   }
-  const auto it = workers_.find(target);
-  if (it == workers_.end()) {
+  Worker* const owner = FindWorker(target);
+  if (owner == nullptr) {
     return;
   }
-  Worker& worker = *it->second;
+  Worker& worker = *owner;
   if (was_running && worker.running == attempt) {
     // Cancel on the worker: return the unexecuted tail of the CPU booking
     // so the next queued request starts now instead of after the ghost of
@@ -539,11 +546,11 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
 }
 
 void FaasPlatform::StartNextOnWorker(InstanceId instance) {
-  auto worker_it = workers_.find(instance);
-  if (worker_it == workers_.end()) {
+  Worker* const found = FindWorker(instance);
+  if (found == nullptr) {
     return;
   }
-  Worker& worker = *worker_it->second;
+  Worker& worker = *found;
   while (!worker.queue.empty() && worker.queue.front()->cancelled) {
     worker.queue.pop_front();
   }
@@ -561,7 +568,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   attempt->running = true;
   const std::shared_ptr<InvocationSpec>& spec = attempt->spec;
   const std::shared_ptr<InvocationResult>& result = attempt->result;
-  const std::string& instance_name = InstanceName(instance);
+  const std::string& instance_name = worker.name;
   result->fetch_start = sim_->Now();
 
   // Fetch inputs: the invocation blocks the worker for the duration.
@@ -570,15 +577,14 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   for (const ObjectRef& input : spec->inputs) {
     payload_bytes += input.size;
     const SimTime fetch_issued = sim_->Now();
-    CacheLookup lookup = cache_.Get(instance_name, input.name);
+    CacheLookup lookup = cache_.Get(instance, input.name);
     SimTime done;
     FetchSource source = FetchSource::kLocal;
     Bytes fetched_bytes = lookup.size;
     switch (lookup.outcome) {
       case CacheOutcome::kLocalHit:
         ++result->local_hits;
-        done = network_ptr_->Transfer(instance_name, instance_name,
-                                      lookup.size);
+        done = network_ptr_->Transfer(instance, instance, lookup.size);
         if (storage_ != nullptr) {
           // Coherence check: a known-stale local copy is never served
           // silently — write-through/write-back re-fetch synchronously,
@@ -719,9 +725,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     }
     if (completed > sim_->Now()) {
       // Keep the worker occupied through the blocking put.
-      auto occupied_it = workers_.find(instance);
-      if (occupied_it != workers_.end()) {
-        occupied_it->second->cpu.Acquire(completed - sim_->Now());
+      if (Worker* occupied = FindWorker(instance)) {
+        occupied->cpu.Acquire(completed - sim_->Now());
       }
     }
     sim_->At(completed, [this, instance, attempt]() {
@@ -735,9 +740,9 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       // claims in flight. Releasing it may unblock another idle worker.
       const bool was_stolen = attempt->stolen;
       ReleaseStealSlot(attempt);
-      auto it = workers_.find(instance);
-      if (it != workers_.end() && it->second->running == attempt) {
-        it->second->running.reset();
+      Worker* done_on = FindWorker(instance);
+      if (done_on != nullptr && done_on->running == attempt) {
+        done_on->running.reset();
       }
       if (attempt->on_complete) {
         attempt->on_complete(*attempt->result);
@@ -810,12 +815,12 @@ void FaasPlatform::MatchPending() {
 }
 
 bool FaasPlatform::TryPullFor(InstanceId instance) {
-  const auto worker_it = workers_.find(instance);
-  if (worker_it == workers_.end()) {
+  const Worker* worker = FindWorker(instance);
+  if (worker == nullptr) {
     idle_workers_.erase(instance);
     return false;
   }
-  const std::string& name = InstanceName(instance);
+  const std::string& name = worker->name;
   // One deterministic scan over the color queues, classifying each by
   // affinity to this worker:
   //   0 — this worker hosts the color. The load balancer's placed
@@ -947,8 +952,8 @@ void FaasPlatform::ClaimFrom(const std::string& key, InstanceId instance,
 
   // Late binding resolves here: the claimer becomes the placement.
   attempt->worker = instance;
-  attempt->result->instance = InstanceName(instance);
-  Worker& worker = *workers_.at(instance);
+  Worker& worker = *FindWorker(instance);
+  attempt->result->instance = worker.name;
   idle_workers_.erase(instance);
   worker.claiming = true;
   SimTime start_at = SaturatingAdd(sim_->Now(), config_.pull_claim_latency);
@@ -971,8 +976,8 @@ void FaasPlatform::ClaimFrom(const std::string& key, InstanceId instance,
 
 void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
                                  InstanceId instance) {
-  const auto it = workers_.find(instance);
-  if (it == workers_.end()) {
+  Worker* const claimer = FindWorker(instance);
+  if (claimer == nullptr) {
     // The claimer died mid-handoff. The claim never started, so the work
     // returns to the head of its color queue (no retry budget burned) —
     // unless the cluster is empty, in which case it fails over.
@@ -980,7 +985,7 @@ void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
     if (attempt->cancelled) {
       return;
     }
-    if (workers_.empty()) {
+    if (worker_count_ == 0) {
       HandleFailure(attempt, FailureReason::kWorkerLost);
       return;
     }
@@ -988,7 +993,7 @@ void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
     MatchPending();
     return;
   }
-  it->second->claiming = false;
+  claimer->claiming = false;
   if (attempt->cancelled) {
     // Deadline fired during the handoff; the claimer goes back to the
     // idle pool and the freed steal slot may unblock the matcher.
@@ -996,8 +1001,8 @@ void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
     MaybeIdle(instance);
     return;
   }
-  it->second->queue.push_back(attempt);
-  if (!it->second->busy) {
+  claimer->queue.push_back(attempt);
+  if (!claimer->busy) {
     StartNextOnWorker(instance);
   }
 }
@@ -1006,12 +1011,9 @@ void FaasPlatform::MaybeIdle(InstanceId instance) {
   if (!pull_enabled()) {
     return;
   }
-  const auto it = workers_.find(instance);
-  if (it == workers_.end()) {
-    return;
-  }
-  const Worker& worker = *it->second;
-  if (worker.busy || worker.claiming || !worker.queue.empty()) {
+  const Worker* worker = FindWorker(instance);
+  if (worker == nullptr || worker->busy || worker->claiming ||
+      !worker->queue.empty()) {
     return;
   }
   idle_workers_.insert(instance);
@@ -1072,8 +1074,10 @@ std::vector<std::string> FaasPlatform::WriteReplicasFor(
 
 std::unordered_map<std::string, SimTime> FaasPlatform::WorkerBusyTime() const {
   std::unordered_map<std::string, SimTime> out;
-  for (const auto& [id, worker] : workers_) {
-    out[InstanceName(id)] = worker->cpu.busy_time();
+  for (const auto& worker : workers_) {
+    if (worker != nullptr) {
+      out[worker->name] = worker->cpu.busy_time();
+    }
   }
   return out;
 }
@@ -1120,8 +1124,8 @@ std::size_t FaasPlatform::WorkerQueueDepth(const std::string& name) const {
   if (!id.has_value()) {
     return 0;
   }
-  const auto it = workers_.find(*id);
-  return it != workers_.end() ? it->second->queue.size() : 0;
+  const Worker* worker = FindWorker(*id);
+  return worker != nullptr ? worker->queue.size() : 0;
 }
 
 std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
@@ -1129,8 +1133,8 @@ std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
   if (!id.has_value()) {
     return 0;
   }
-  const auto it = workers_.find(*id);
-  return it != workers_.end() ? it->second->cold_starts : 0;
+  const Worker* worker = FindWorker(*id);
+  return worker != nullptr ? worker->cold_starts : 0;
 }
 
 void FaasPlatform::ApplyPlan(const Plan& plan) {
@@ -1191,10 +1195,11 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
     // completes; until then routed traffic misses there (cold-ish hits).
     const InstanceId dst_id = migration.to;
     sim_->At(landed, [this, dst_id, batch]() {
-      if (!HasWorkerId(dst_id)) {
+      const Worker* dst = FindWorker(dst_id);
+      if (dst == nullptr) {
         return;  // Destination died mid-flight; the bytes are lost.
       }
-      const std::string& name = InstanceName(dst_id);
+      const std::string& name = dst->name;
       for (const FaastCache::ResidentObject& object : *batch) {
         cache_.PutLocal(name, object.name, object.size);
         if (storage_ != nullptr) {
@@ -1281,8 +1286,12 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
                     key.empty() ? "_uncolored" : key.c_str()))
         .SetAt(static_cast<double>(queue.size()), sim_->Now());
   }
-  for (const auto& [id, worker] : workers_) {
-    const std::string& name = InstanceName(id);
+  for (InstanceId id = 0; id < workers_.size(); ++id) {
+    const Worker* worker = workers_[id].get();
+    if (worker == nullptr) {
+      continue;
+    }
+    const std::string& name = worker->name;
     gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
         .SetAt(static_cast<double>(worker->queue.size()), sim_->Now());
     gauge(StrFormat("worker.%s.busy_seconds", name.c_str()))

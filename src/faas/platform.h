@@ -194,7 +194,7 @@ class FaasPlatform {
   // partially-executed work is lost (re-executed from scratch on retry —
   // at-least-once semantics).
   void CrashWorker(const std::string& name);
-  std::size_t worker_count() const { return workers_.size(); }
+  std::size_t worker_count() const { return worker_count_; }
   std::vector<std::string> WorkerNames() const;
   // Scale-in victim selection: the worker with the fewest queued requests.
   // Ties resolve by smallest interned InstanceId — the interning order is
@@ -222,7 +222,7 @@ class FaasPlatform {
 
   // Authoritative membership tests for external routers (a stale router
   // view may point at a worker the cluster no longer runs).
-  bool HasWorkerId(InstanceId id) const { return workers_.count(id) > 0; }
+  bool HasWorkerId(InstanceId id) const { return FindWorker(id) != nullptr; }
   bool HasWorker(const std::string& name) const;
 
   // At most one listener; replaces any previous one (empty = detach). The
@@ -373,8 +373,13 @@ class FaasPlatform {
   // invocation's inputs (no async communication thread, unlike serverful
   // Dask workers).
   struct Worker {
-    Worker(Simulator* sim, double speed_factor)
-        : cpu(sim), speed(speed_factor) {}
+    Worker(Simulator* sim, const std::string& interned_name,
+           double speed_factor)
+        : name(interned_name), cpu(sim), speed(speed_factor) {}
+    // The registry's interned name, taken once in AddWorker (stable for the
+    // process lifetime), so the per-invocation path never asks the
+    // registry.
+    const std::string& name;
     FifoResource cpu;  // busy-time accounting
     double speed;      // CPU rate multiplier
     std::deque<AttemptPtr> queue;
@@ -460,10 +465,17 @@ class FaasPlatform {
   // every hook below is a single pointer test in that case.
   std::unique_ptr<StorageLayer> storage_;
   PaletteLoadBalancer lb_;
-  // Keyed by interned id: platform continuations capture the 4-byte id (not
-  // a worker-name string), keeping them inside the simulator's inline
-  // event-callback buffer.
-  std::unordered_map<InstanceId, std::unique_ptr<Worker>> workers_;
+  // The live worker with interned id `id`, or null.
+  Worker* FindWorker(InstanceId id) const {
+    return id < workers_.size() ? workers_[id].get() : nullptr;
+  }
+
+  // Indexed by interned id (dense, process-wide), null where no live worker
+  // has that id: platform continuations capture the 4-byte id (not a
+  // worker-name string), keeping them inside the simulator's inline
+  // event-callback buffer, and resolving it is an index, not a probe.
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::size_t worker_count_ = 0;
   // Pull/hybrid state. Ordered containers: the claim scan iterates
   // pending_ and the matcher iterates idle_workers_, and both orders are
   // part of the deterministic claim schedule.

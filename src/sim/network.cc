@@ -7,8 +7,17 @@ namespace palette {
 Network::Network(Simulator* sim, NetworkConfig config)
     : sim_(sim), config_(config) {}
 
-void Network::AddNode(const std::string& node) {
-  nics_.try_emplace(node, std::make_unique<Nic>(sim_));
+void Network::AddNode(const std::string& node, InstanceId id) {
+  const auto [it, inserted] = nics_.try_emplace(node);
+  if (inserted) {
+    it->second = std::make_unique<Nic>(sim_);
+  }
+  if (id != kInvalidInstanceId) {
+    if (id >= nics_by_id_.size()) {
+      nics_by_id_.resize(id + 1, nullptr);
+    }
+    nics_by_id_[id] = it->second.get();
+  }
 }
 
 bool Network::HasNode(const std::string& node) const {
@@ -21,8 +30,23 @@ SimTime Network::Transfer(const std::string& src, const std::string& dst,
   auto dst_it = nics_.find(dst);
   assert(src_it != nics_.end() && "unknown source node");
   assert(dst_it != nics_.end() && "unknown destination node");
+  return TransferBetween(*src_it->second, *dst_it->second, size, ready);
+}
 
-  if (src == dst) {
+Network::Nic& Network::NicOf(InstanceId id) const {
+  assert(id < nics_by_id_.size() && nics_by_id_[id] != nullptr &&
+         "unknown node id");
+  return *nics_by_id_[id];
+}
+
+SimTime Network::Transfer(InstanceId src, InstanceId dst, Bytes size,
+                          SimTime ready) {
+  return TransferBetween(NicOf(src), NicOf(dst), size, ready);
+}
+
+SimTime Network::TransferBetween(Nic& src_nic, Nic& dst_nic, Bytes size,
+                                 SimTime ready) {
+  if (&src_nic == &dst_nic) {
     local_bytes_ += size;
     const SimTime duration =
         TransferDuration(size, config_.local_bandwidth_bits_per_sec / 8.0);
@@ -41,8 +65,6 @@ SimTime Network::Transfer(const std::string& src, const std::string& dst,
   // The transfer needs the sender's egress and the receiver's ingress
   // simultaneously: find the earliest instant both are free, then book the
   // serialization time on each.
-  Nic& src_nic = *src_it->second;
-  Nic& dst_nic = *dst_it->second;
   SimTime base = sim_->Now();
   if (ready > base) {
     base = ready;

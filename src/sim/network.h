@@ -15,7 +15,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "src/common/instance_id.h"
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
 
@@ -36,13 +38,19 @@ class Network {
  public:
   Network(Simulator* sim, NetworkConfig config);
 
-  void AddNode(const std::string& node);
+  // Passing the node's interned `id` also indexes its NIC for the id
+  // overload of Transfer.
+  void AddNode(const std::string& node, InstanceId id = kInvalidInstanceId);
   bool HasNode(const std::string& node) const;
 
   // Books a transfer of `size` bytes from `src` to `dst` that may start no
   // earlier than `ready`; returns its completion time. Both nodes must have
   // been added. src == dst is a local copy.
   SimTime Transfer(const std::string& src, const std::string& dst, Bytes size,
+                   SimTime ready = SimTime());
+  // The same transfer between nodes added with their interned ids, without
+  // name lookups (the platform's per-invocation fetch path).
+  SimTime Transfer(InstanceId src, InstanceId dst, Bytes size,
                    SimTime ready = SimTime());
 
   // Aggregate counters for the evaluation (Fig. 9 reports bytes moved).
@@ -73,9 +81,13 @@ class Network {
     NodeStats stats;
   };
 
+  Nic& NicOf(InstanceId id) const;
+  SimTime TransferBetween(Nic& src, Nic& dst, Bytes size, SimTime ready);
+
   Simulator* sim_;
   NetworkConfig config_;
   std::unordered_map<std::string, std::unique_ptr<Nic>> nics_;
+  std::vector<Nic*> nics_by_id_;  // [id] -> NIC of the node added with id
   Bytes remote_bytes_ = 0;
   Bytes local_bytes_ = 0;
   std::uint64_t remote_transfers_ = 0;

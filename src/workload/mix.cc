@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "src/common/table_printer.h"
+#include <charconv>
+#include <cstring>
 
 namespace palette {
 
@@ -62,7 +62,23 @@ Bytes InvocationMix::ObjectSize(std::uint32_t color_id,
 }
 
 std::string InvocationMix::ColorName(std::uint32_t color_id) {
-  return "c" + std::to_string(color_id);
+  // 'c' + 10 digits; what "c%u" formats.
+  char buf[11];
+  buf[0] = 'c';
+  char* const end = std::to_chars(buf + 1, buf + sizeof(buf), color_id).ptr;
+  return std::string(buf, end);
+}
+
+std::string InvocationMix::ObjectName(std::uint32_t color_id,
+                                      std::uint64_t obj) {
+  // 'c' + 10 digits + "___o" + 20 digits; what "c%u___o%llu" formats.
+  char buf[35];
+  char* const end = buf + sizeof(buf);
+  buf[0] = 'c';
+  char* p = std::to_chars(buf + 1, end, color_id).ptr;
+  std::memcpy(p, "___o", 4);
+  p = std::to_chars(p + 4, end, obj).ptr;
+  return std::string(buf, p);
 }
 
 MixedInvocation InvocationMix::Sample(SimTime now, Rng& rng) const {
@@ -104,9 +120,7 @@ void InvocationMix::DrawRest(std::uint32_t color_id, Rng& rng,
     const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
     if (out != nullptr) {
       out->spec.inputs.push_back(
-          ObjectRef{StrFormat("c%u___o%llu", color_id,
-                              static_cast<unsigned long long>(obj)),
-                    ObjectSize(color_id, obj)});
+          ObjectRef{ObjectName(color_id, obj), ObjectSize(color_id, obj)});
     }
   }
   if (config_.write_fraction > 0 &&
@@ -114,9 +128,7 @@ void InvocationMix::DrawRest(std::uint32_t color_id, Rng& rng,
     const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
     if (out != nullptr) {
       out->spec.outputs.push_back(
-          ObjectRef{StrFormat("c%u___o%llu", color_id,
-                              static_cast<unsigned long long>(obj)),
-                    ObjectSize(color_id, obj)});
+          ObjectRef{ObjectName(color_id, obj), ObjectSize(color_id, obj)});
     }
   }
 }

@@ -92,8 +92,11 @@ class InvocationMix {
                 const std::function<bool(std::uint32_t color_id)>& keep,
                 MixedInvocation* out) const;
 
-  // The routing hint Sample puts on an invocation of `color_id`.
+  // The routing hint Sample puts on an invocation of `color_id` ("c7").
   static std::string ColorName(std::uint32_t color_id);
+  // The name Sample gives object `obj` of color `color_id` ("c7___o2"; the
+  // color is the §5.1 hashing key).
+  static std::string ObjectName(std::uint32_t color_id, std::uint64_t obj);
 
   // The color id that Zipf rank `rank` maps to at time `now`; exposed so
   // tests can assert the hot set actually moves.

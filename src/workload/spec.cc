@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "src/common/flags.h"
@@ -34,23 +35,54 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
   spec.arrival.amplitude =
       flags.GetDouble("amplitude", spec.arrival.amplitude);
 
-  spec.mix.color_count = static_cast<std::uint64_t>(
-      flags.GetInt("colors", static_cast<std::int64_t>(spec.mix.color_count)));
+  // Mix sizes are range-checked before any cast: the color id is a
+  // uint32_t and the per-sample hit counters are uint16_t, so an
+  // out-of-range value would alias or wrap silently.
+  const std::int64_t colors =
+      flags.GetInt("colors", static_cast<std::int64_t>(spec.mix.color_count));
+  if (colors < 1 || colors > (std::int64_t{1} << 32)) {
+    std::fprintf(stderr,
+                 "--colors=%lld is out of range: need 1 <= colors <= 2^32\n",
+                 static_cast<long long>(colors));
+    return false;
+  }
+  spec.mix.color_count = static_cast<std::uint64_t>(colors);
   spec.mix.zipf_theta = flags.GetDouble("theta", spec.mix.zipf_theta);
   spec.mix.churn_interval =
       SimTime::FromSeconds(flags.GetDouble("churn_interval_s", 0));
   spec.mix.churn_step = static_cast<std::uint64_t>(
       flags.GetInt("churn_step", static_cast<std::int64_t>(
                                      spec.mix.color_count / 8)));
-  spec.mix.objects_per_color = static_cast<std::uint64_t>(flags.GetInt(
+  const std::int64_t objects_per_color = flags.GetInt(
       "objects_per_color",
-      static_cast<std::int64_t>(spec.mix.objects_per_color)));
-  spec.mix.inputs_per_invocation = static_cast<int>(
-      flags.GetInt("inputs", spec.mix.inputs_per_invocation));
+      static_cast<std::int64_t>(spec.mix.objects_per_color));
+  if (objects_per_color < 1) {
+    std::fprintf(stderr,
+                 "--objects_per_color=%lld is out of range: need >= 1\n",
+                 static_cast<long long>(objects_per_color));
+    return false;
+  }
+  spec.mix.objects_per_color = static_cast<std::uint64_t>(objects_per_color);
+  const std::int64_t inputs =
+      flags.GetInt("inputs", spec.mix.inputs_per_invocation);
+  if (inputs < 0 || inputs > std::numeric_limits<std::uint16_t>::max()) {
+    std::fprintf(stderr,
+                 "--inputs=%lld is out of range: need 0 <= inputs <= 65535\n",
+                 static_cast<long long>(inputs));
+    return false;
+  }
+  spec.mix.inputs_per_invocation = static_cast<int>(inputs);
   spec.mix.functions[0].cpu_ops =
       flags.GetDouble("cpu_ops", spec.mix.functions[0].cpu_ops);
   spec.mix.write_fraction =
       flags.GetDouble("write_fraction", spec.mix.write_fraction);
+  if (!(spec.mix.write_fraction >= 0 && spec.mix.write_fraction <= 1)) {
+    std::fprintf(stderr,
+                 "--write_fraction=%g is out of range: need 0 <= "
+                 "write_fraction <= 1\n",
+                 spec.mix.write_fraction);
+    return false;
+  }
 
   spec.driver.duration =
       SimTime::FromSeconds(flags.GetDouble("duration", 20));

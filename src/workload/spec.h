@@ -42,7 +42,10 @@ struct WorkloadSpec {
 //   --colors= --theta= --churn_interval_s= --churn_step=
 //   --objects_per_color= --inputs= --cpu_ops= --write_fraction=
 //   --seed= --max_invocations=
-// Returns false (and prints to stderr) on an unknown arrival kind.
+// Returns false (and prints to stderr) on an unknown arrival kind or an
+// out-of-range mix size: colors outside [1, 2^32], objects_per_color < 1,
+// inputs outside [0, 65535] or write_fraction outside [0, 1]. Tools exit
+// with status 2 when it returns false.
 bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out);
 
 // Appends the spec as a JSON object value (caller wrote the key).

@@ -501,6 +501,38 @@ TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
 // a brute-force scan of the shard after every kind of shard change,
 // including LRU evictions, size refreshes, rejected puts and membership
 // churn.
+TEST(FaastCacheTest, IdReadsUseTheNamedShard) {
+  // An instance added with its interned id is readable by id and by name;
+  // both reads see one shard and one set of counters.
+  const InstanceId a = InternInstance("fc-id-a");
+  const InstanceId b = InternInstance("fc-id-b");
+  FaastCache cache;
+  cache.AddInstance("fc-id-a", a);
+  cache.AddInstance("fc-id-b", b);
+  cache.Put("fc-id-a", "fc-id-a___obj", 100);
+
+  const CacheLookup by_id = cache.Get(a, "fc-id-a___obj");
+  EXPECT_EQ(by_id.outcome, CacheOutcome::kLocalHit);
+  EXPECT_EQ(by_id.owner, "fc-id-a");
+  EXPECT_EQ(by_id.size, 100u);
+  const CacheLookup remote = cache.Get(b, "fc-id-a___obj");
+  EXPECT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
+  EXPECT_EQ(remote.owner, "fc-id-a");
+  EXPECT_EQ(cache.Get("fc-id-b", "fc-id-a___obj").outcome,
+            CacheOutcome::kRemoteHit);
+  EXPECT_EQ(cache.Get(b, "fc-id-b___none").outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.local_hits(), 1u);
+  EXPECT_EQ(cache.remote_hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // A removed and re-added instance reads from its fresh (empty) shard.
+  cache.RemoveInstance("fc-id-a");
+  cache.AddInstance("fc-id-a", a);
+  EXPECT_EQ(cache.Get(a, "fc-id-a___obj").outcome, CacheOutcome::kMiss);
+  cache.PutLocal("fc-id-a", "fc-id-a___obj", 7);
+  EXPECT_EQ(cache.Get(a, "fc-id-a___obj").size, 7u);
+}
+
 TEST(FaastCacheTest, KeyIndexMatchesBruteForceScanUnderRandomOps) {
   FaastCacheConfig config;
   config.per_instance_capacity = 300;  // small: evictions are frequent

@@ -297,6 +297,61 @@ TEST(PercentilesTest, EmptyInputYieldsZerosPerRank) {
   EXPECT_TRUE(Percentiles({1.0}, {}).empty());
 }
 
+// Reference: the sort-based percentile (closest-rank linear interpolation
+// on a fully sorted copy, with the stats.h clamping contract).
+double SortedReferencePercentile(std::vector<double> samples, double p) {
+  if (samples.empty()) {
+    return 0.0;
+  }
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  const double clamped = std::isnan(p) || p < 0 ? 0.0 : std::min(p, 100.0);
+  const double rank =
+      (clamped / 100.0) * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + frac * (samples[hi] - samples[lo]);
+}
+
+TEST(PercentileTest, SelectionMatchesSortedReferenceExactly) {
+  // Percentile/Percentiles select the two order statistics instead of
+  // sorting; the values, and so every derived SLO figure, must be
+  // bit-identical to the sort-based reference.
+  const std::vector<double> ranks = {0,   0.1, 50,  99, 99.9,
+                                     100, -5,  150, std::nan("")};
+  Rng rng(2024);
+  for (std::size_t size = 1; size <= 1000;
+       size += 1 + static_cast<std::size_t>(rng.NextBelow(size < 20 ? 1 : 37))) {
+    // Few distinct values for some sizes, so duplicates straddle the
+    // selected ranks; continuous values otherwise.
+    const std::uint64_t distinct = size % 3 == 0 ? 4 : 1u << 30;
+    std::vector<double> samples(size);
+    for (double& v : samples) {
+      v = static_cast<double>(rng.NextBelow(distinct)) * 0.37 +
+          (distinct == 4 ? 0 : rng.NextDouble());
+    }
+    for (const double p : ranks) {
+      EXPECT_EQ(Percentile(samples, p), SortedReferencePercentile(samples, p))
+          << "size " << size << " p " << p;
+    }
+    // Ranks out of order (and repeated): each output stays with its rank.
+    std::vector<double> ps = ranks;
+    for (std::size_t i = ps.size(); i > 1; --i) {
+      std::swap(ps[i - 1], ps[rng.NextBelow(i)]);
+    }
+    ps.push_back(ps.front());
+    const std::vector<double> out = Percentiles(samples, ps);
+    ASSERT_EQ(out.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_EQ(out[i], SortedReferencePercentile(samples, ps[i]))
+          << "size " << size << " p " << ps[i];
+    }
+  }
+}
+
 TEST(RelativeMaxLoadTest, UniformIsOne) {
   EXPECT_DOUBLE_EQ(RelativeMaxLoad({3, 3, 3}), 1.0);
   EXPECT_DOUBLE_EQ(RelativeMaxLoad({0, 0, 6}), 3.0);

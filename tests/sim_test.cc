@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/instance_id.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/workload/sharded_run.h"
@@ -277,6 +278,33 @@ TEST_F(NetworkTest, ReadyTimeDefersTransfer) {
 TEST_F(NetworkTest, HasNode) {
   EXPECT_TRUE(network_.HasNode("a"));
   EXPECT_FALSE(network_.HasNode("zz"));
+}
+
+TEST_F(NetworkTest, IdTransfersBookTheSameNicsAsNamedTransfers) {
+  // A node added with its interned id is reachable by id and by name; both
+  // overloads book the same NICs, so interleaving them contends exactly
+  // like a run of named transfers.
+  const InstanceId x = InternInstance("net-id-x");
+  const InstanceId y = InternInstance("net-id-y");
+  network_.AddNode("net-id-x", x);
+  network_.AddNode("net-id-y", y);
+  Simulator named_sim;
+  Network named(&named_sim, MakeConfig());
+  named.AddNode("net-id-x");
+  named.AddNode("net-id-y");
+
+  EXPECT_EQ(network_.Transfer(x, y, 125'000'000),
+            named.Transfer("net-id-x", "net-id-y", 125'000'000));
+  EXPECT_EQ(network_.Transfer("net-id-x", "net-id-y", 125'000'000),
+            named.Transfer("net-id-x", "net-id-y", 125'000'000));
+  EXPECT_EQ(network_.Transfer(y, y, 1'000'000),
+            named.Transfer("net-id-y", "net-id-y", 1'000'000));
+  EXPECT_EQ(network_.remote_bytes(), named.remote_bytes());
+  EXPECT_EQ(network_.local_bytes(), named.local_bytes());
+  EXPECT_EQ(network_.remote_transfers(), 2u);
+  EXPECT_EQ(network_.NodeStatsOf("net-id-y").queue_delay,
+            named.NodeStatsOf("net-id-y").queue_delay);
+  EXPECT_EQ(network_.NodeStatsOf("net-id-x").bytes_out, 250'000'000u);
 }
 
 TEST(SimulatorTest, AfterSaturatesInsteadOfWrapping) {

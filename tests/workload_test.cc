@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/workload/arrival.h"
@@ -284,6 +285,103 @@ TEST(MixTest, SampleIfStaysInStepWithSample) {
   }
   EXPECT_GT(kept, 0);
   EXPECT_EQ(all.Next(), some.Next());
+}
+
+TEST(MixTest, NamesMatchPrintfFormatting) {
+  // Names are built with to_chars; they must stay byte-for-byte what the
+  // "c%u" / "c%u___o%llu" formats produced (cache homes and digests hash
+  // them).
+  for (const std::uint32_t color : {0u, 9u, 10u, 4999u, UINT32_MAX}) {
+    EXPECT_EQ(InvocationMix::ColorName(color), StrFormat("c%u", color));
+    for (const std::uint64_t obj :
+         {std::uint64_t{0}, std::uint64_t{3}, UINT64_MAX}) {
+      EXPECT_EQ(InvocationMix::ObjectName(color, obj),
+                StrFormat("c%u___o%llu", color,
+                          static_cast<unsigned long long>(obj)));
+    }
+  }
+
+  MixConfig config;
+  config.color_count = 5000;
+  config.objects_per_color = 12;
+  config.inputs_per_invocation = 3;
+  config.write_fraction = 0.5;
+  const InvocationMix mix(config);
+  Rng rng(7);
+  const auto is_object_of = [&](const std::string& name, std::uint32_t color) {
+    for (std::uint64_t obj = 0; obj < config.objects_per_color; ++obj) {
+      if (name == StrFormat("c%u___o%llu", color,
+                            static_cast<unsigned long long>(obj))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  int outputs = 0;
+  for (int i = 0; i < 300; ++i) {
+    const MixedInvocation m = mix.Sample(SimTime::FromMillis(i), rng);
+    ASSERT_TRUE(m.spec.color.has_value());
+    EXPECT_EQ(*m.spec.color, StrFormat("c%u", m.color_id));
+    ASSERT_EQ(m.spec.inputs.size(), 3u);
+    for (const ObjectRef& input : m.spec.inputs) {
+      EXPECT_TRUE(is_object_of(input.name, m.color_id)) << input.name;
+    }
+    for (const ObjectRef& output : m.spec.outputs) {
+      EXPECT_TRUE(is_object_of(output.name, m.color_id)) << output.name;
+      ++outputs;
+    }
+  }
+  EXPECT_GT(outputs, 0);
+}
+
+// Parses `args` (without the program name) into a spec.
+bool SpecFromArgs(std::vector<std::string> args, WorkloadSpec* spec) {
+  args.insert(args.begin(), "loadgen");
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) {
+    argv.push_back(arg.c_str());
+  }
+  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
+  return WorkloadSpecFromFlags(flags, spec);
+}
+
+TEST(WorkloadSpecFlagsTest, RejectsOutOfRangeMixSizes) {
+  WorkloadSpec spec;
+  // colors: [1, 2^32]. Zero used to abort in ZipfDistribution, negatives
+  // wrapped to 2^64 and anything above 2^32 aliased color ids.
+  EXPECT_FALSE(SpecFromArgs({"--colors=0"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--colors=-1"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--colors=4294967297"}, &spec));
+  // objects_per_color >= 1: zero used to collapse every color to one object.
+  EXPECT_FALSE(SpecFromArgs({"--objects_per_color=0"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--objects_per_color=-3"}, &spec));
+  // inputs: [0, 65535], the range of the per-sample hit counters.
+  EXPECT_FALSE(SpecFromArgs({"--inputs=-1"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--inputs=65536"}, &spec));
+  // write_fraction: [0, 1].
+  EXPECT_FALSE(SpecFromArgs({"--write_fraction=-0.1"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--write_fraction=1.5"}, &spec));
+  EXPECT_FALSE(SpecFromArgs({"--write_fraction=nan"}, &spec));
+}
+
+TEST(WorkloadSpecFlagsTest, AcceptsRangeEndpoints) {
+  WorkloadSpec spec;
+  ASSERT_TRUE(SpecFromArgs({"--colors=1", "--objects_per_color=1",
+                            "--inputs=0", "--write_fraction=0"},
+                           &spec));
+  EXPECT_EQ(spec.mix.color_count, 1u);
+  EXPECT_EQ(spec.mix.objects_per_color, 1u);
+  EXPECT_EQ(spec.mix.inputs_per_invocation, 0);
+  EXPECT_EQ(spec.mix.write_fraction, 0.0);
+  ASSERT_TRUE(SpecFromArgs({"--colors=4294967296", "--inputs=65535",
+                            "--write_fraction=1"},
+                           &spec));
+  EXPECT_EQ(spec.mix.color_count, std::uint64_t{1} << 32);
+  EXPECT_EQ(spec.mix.inputs_per_invocation, 65535);
+  EXPECT_EQ(spec.mix.write_fraction, 1.0);
+  // The defaults pass untouched.
+  ASSERT_TRUE(SpecFromArgs({}, &spec));
+  EXPECT_EQ(spec.mix.color_count, MixConfig().color_count);
 }
 
 TEST(SloTest, EmptySamplesScoreZeroSafely) {

@@ -108,7 +108,7 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
                      const std::string& out_path) {
   WorkloadSpec base_spec;
   if (!WorkloadSpecFromFlags(flags, &base_spec)) {
-    return 1;
+    return 2;
   }
   base_spec.arrival.kind = arrival_kind;
   SloConfig slo;

@@ -289,7 +289,7 @@ int Run(int argc, char** argv) {
 
   WorkloadSpec spec;
   if (!WorkloadSpecFromFlags(flags, &spec)) {
-    return 1;
+    return 2;
   }
   PolicyKind policy;
   const std::string policy_id = flags.GetString("policy", "la");
