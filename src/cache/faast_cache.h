@@ -76,6 +76,10 @@ class FaastCache {
   // The instance that owns (is home for) `object_name` under consistent
   // hashing of its hashing key. Empty optional when no instances exist.
   std::optional<std::string> HomeInstance(std::string_view object_name) const;
+  // The home's interned id (no name string is built).
+  std::optional<InstanceId> HomeInstanceId(std::string_view object_name) const {
+    return ring_.LookupId(HashKeyOf(object_name));
+  }
 
   // Writes an object produced at `producer`. The object is stored at its
   // *home* instance (under Palette's color translation home == producer, so

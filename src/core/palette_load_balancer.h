@@ -114,6 +114,8 @@ class PaletteLoadBalancer {
     color_stats_enabled_ = enabled;
   }
   bool color_stats_enabled() const { return color_stats_enabled_; }
+  // Entries are never erased, so references to them stay valid for the
+  // balancer's lifetime (the planner's SnapshotCollector keeps them).
   const std::unordered_map<std::string, std::uint64_t>& color_counts() const {
     return color_counts_;
   }

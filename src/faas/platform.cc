@@ -334,14 +334,8 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     if (key.empty()) {
       return true;  // uncolored: any idle worker is as good as any other
     }
-    // Same home precedence as TryPullFor: the placed instance when a
-    // placement exists, the cache ring home otherwise.
-    const auto placed = lb_.PeekColorId(key);
-    if (placed.has_value()) {
-      return *placed == target;
-    }
-    const auto ring_home = cache_.HomeInstance(key);
-    return ring_home.has_value() && *ring_home == worker.name;
+    const auto home = ColorHome(key);
+    return home.has_value() && *home == target;
   }();
   const bool bind_now =
       config_.dispatch_mode == FaasDispatchMode::kPush || hybrid_push_ok;
@@ -792,7 +786,52 @@ void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
   }
 }
 
+std::optional<InstanceId> FaasPlatform::ColorHome(
+    std::string_view key) const {
+  const auto placed = lb_.PeekColorId(key);
+  return placed.has_value() ? placed : cache_.HomeInstanceId(key);
+}
+
+bool FaasPlatform::PopCancelledHeads(std::deque<AttemptPtr>& queue) {
+  while (!queue.empty() && queue.front()->cancelled) {
+    queue.front()->in_pending = false;
+    queue.pop_front();
+    --pending_total_;
+  }
+  return queue.empty();
+}
+
 void FaasPlatform::MatchPending() {
+  if (pending_total_ == 0 || idle_workers_.empty()) {
+    return;
+  }
+  // Resolve each pending color's home once for the whole call: a claim
+  // only schedules its handoff, so no placement or membership can change
+  // before MatchPending returns. Cancelled heads are dropped here as the
+  // first claim scan would drop them. If no idle worker could claim
+  // anything (no unowned queue, no queue homed on an idle worker, no
+  // stealable queue), every claim scan would come back empty: stop now.
+  const bool can_steal = steal_slot_free();
+  bool claimable = false;
+  match_colors_.clear();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (PopCancelledHeads(it->second)) {
+      it = pending_.erase(it);
+      continue;
+    }
+    const InstanceId home = it->first.empty()
+                                ? kInvalidInstanceId
+                                : ColorHome(it->first).value_or(
+                                      kInvalidInstanceId);
+    claimable = claimable || home == kInvalidInstanceId ||
+                idle_workers_.count(home) > 0 ||
+                (can_steal && it->second.size() >= config_.steal_min_depth);
+    match_colors_.push_back(PendingColor{it, home, true});
+    ++it;
+  }
+  if (!claimable) {
+    return;
+  }
   while (pending_total_ > 0 && !idle_workers_.empty()) {
     bool progress = false;
     // Snapshot: a claim removes the claimer from the idle set mid-loop.
@@ -820,7 +859,6 @@ bool FaasPlatform::TryPullFor(InstanceId instance) {
     idle_workers_.erase(instance);
     return false;
   }
-  const std::string& name = worker->name;
   // One deterministic scan over the color queues, classifying each by
   // affinity to this worker:
   //   0 — this worker hosts the color. The load balancer's placed
@@ -830,7 +868,8 @@ bool FaasPlatform::TryPullFor(InstanceId instance) {
   //       workers exist, for when routing runs in a fronting tier and
   //       the platform LB never placed the color itself. The two must
   //       not be OR'd: treating both as home splits a placed color's
-  //       working set across two caches and halves its hit ratio;
+  //       working set across two caches and halves its hit ratio
+  //       (ColorHome);
   //   1 — unowned: uncolored work, or a color with no home anywhere to
   //       prefer (claiming it robs nobody);
   //   2 — foreign: the color's home is another live worker — claiming is
@@ -847,48 +886,40 @@ bool FaasPlatform::TryPullFor(InstanceId instance) {
   // deliberately does NOT bypass the steal budget: replicate-on-remote-
   // hit makes a single past steal leave residue, and letting that
   // residue grant free claims compounds into a locality death spiral.
+  // Foreign queues are skipped without a residency probe when the budget
+  // is spent or a home/unowned queue has been found: neither can lead to
+  // a steal.
+  const bool can_steal = steal_slot_free();
   int best_class = 3;
   bool best_resident = false;
   std::size_t best_depth = 0;
   std::uint64_t best_seq = 0;
-  const std::string* best_key = nullptr;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    std::deque<AttemptPtr>& queue = it->second;
-    while (!queue.empty() && queue.front()->cancelled) {
-      queue.front()->in_pending = false;
-      queue.pop_front();
-      --pending_total_;
-    }
-    if (queue.empty()) {
-      it = pending_.erase(it);
+  PendingColor* best = nullptr;
+  for (PendingColor& color : match_colors_) {
+    if (!color.live) {
       continue;
     }
-    const std::string& key = it->first;
+    std::deque<AttemptPtr>& queue = color.queue->second;
+    if (PopCancelledHeads(queue)) {
+      pending_.erase(color.queue);
+      color.live = false;
+      continue;
+    }
     int affinity;
     bool resident = false;
-    if (key.empty()) {
+    if (color.home == kInvalidInstanceId) {
       affinity = 1;
+    } else if (color.home == instance) {
+      affinity = 0;
     } else {
-      const auto placed = lb_.PeekColorId(key);
-      std::optional<std::string> ring_home;
-      if (!placed.has_value()) {
-        ring_home = cache_.HomeInstance(key);
+      // Foreign: only a hot queue qualifies — shallow foreign queues
+      // wait for their home worker (see steal_min_depth).
+      if (!can_steal || best_class < 2 ||
+          queue.size() < config_.steal_min_depth) {
+        continue;
       }
-      if (placed.has_value() ? *placed == instance
-                             : ring_home.has_value() && *ring_home == name) {
-        affinity = 0;
-      } else if (!ring_home.has_value() && !placed.has_value()) {
-        affinity = 1;
-      } else {
-        // Foreign: only a hot queue qualifies — shallow foreign queues
-        // wait for their home worker (see steal_min_depth).
-        if (queue.size() < config_.steal_min_depth) {
-          ++it;
-          continue;
-        }
-        affinity = 2;
-        resident = cache_.HasKeyObject(name, key);
-      }
+      affinity = 2;
+      resident = cache_.HasKeyObject(worker->name, color.queue->first);
     }
     bool better;
     if (affinity != best_class) {
@@ -904,30 +935,25 @@ bool FaasPlatform::TryPullFor(InstanceId instance) {
       best_resident = resident;
       best_depth = queue.size();
       best_seq = queue.front()->pending_seq;
-      best_key = &key;
+      best = &color;
     }
-    ++it;
   }
-  if (best_key == nullptr) {
+  if (best == nullptr) {
     return false;
   }
-  const bool steal = best_class == 2;
-  if (steal &&
-      (config_.steal_budget <= 0 || steals_in_flight_ >= config_.steal_budget)) {
-    return false;
-  }
-  ClaimFrom(*best_key, instance, steal);
+  ClaimFrom(*best, instance, /*steal=*/best_class == 2);
   return true;
 }
 
-void FaasPlatform::ClaimFrom(const std::string& key, InstanceId instance,
+void FaasPlatform::ClaimFrom(PendingColor& color, InstanceId instance,
                              bool steal) {
-  const auto queue_it = pending_.find(key);
-  AttemptPtr attempt = std::move(queue_it->second.front());
-  queue_it->second.pop_front();
+  std::deque<AttemptPtr>& queue = color.queue->second;
+  AttemptPtr attempt = std::move(queue.front());
+  queue.pop_front();
   --pending_total_;
-  if (queue_it->second.empty()) {
-    pending_.erase(queue_it);
+  if (queue.empty()) {
+    pending_.erase(color.queue);
+    color.live = false;
   }
   attempt->in_pending = false;
 
@@ -1031,8 +1057,7 @@ void FaasPlatform::FailAllPending() {
   if (pending_total_ == 0) {
     return;
   }
-  std::map<std::string, std::deque<AttemptPtr>> pending =
-      std::move(pending_);
+  PendingQueues pending = std::move(pending_);
   pending_.clear();
   pending_total_ = 0;
   for (auto& [key, queue] : pending) {

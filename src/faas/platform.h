@@ -420,19 +420,34 @@ class FaasPlatform {
   }
   // The pending-queue key for a spec: its color, or "" when uncolored.
   static const std::string& PendingKeyOf(const InvocationSpec& spec);
+  using PendingQueues = std::map<std::string, std::deque<AttemptPtr>>;
+  // One pending color queue as one MatchPending call sees it. The home is
+  // resolved once per call: claims only schedule their handoffs, so no
+  // placement or membership changes until the call returns.
+  struct PendingColor {
+    PendingQueues::iterator queue;
+    InstanceId home;  // kInvalidInstanceId: unowned (uncolored or homeless)
+    bool live;        // false once the queue emptied and left pending_
+  };
+  // The worker a color's work belongs to: the LB's placed instance when a
+  // placement exists, the cache ring's home shard otherwise.
+  std::optional<InstanceId> ColorHome(std::string_view key) const;
+  // Drops cancelled attempts off the head of `queue`; true if it emptied.
+  bool PopCancelledHeads(std::deque<AttemptPtr>& queue);
   void EnqueuePending(const AttemptPtr& attempt, bool front);
   void RemoveFromPending(const AttemptPtr& attempt);
   // Matches idle workers against pending queues until neither side can
   // make progress (fixed point; claim order is deterministic).
   void MatchPending();
-  // One claim decision for one idle worker: scans the pending queues,
-  // prefers its own colors (placed home, then cache-resident), then
-  // unowned work, then — budget permitting — steals the deepest foreign
-  // queue. True if a claim was made.
+  // One claim decision for one idle worker: scans the pending queues
+  // listed by the current MatchPending call, prefers its own colors
+  // (placed home, then cache-resident), then unowned work, then — budget
+  // permitting — steals the deepest foreign queue. True if a claim was
+  // made.
   bool TryPullFor(InstanceId instance);
-  // Pops the head of `key`'s queue and hands it to `instance`; the claim
+  // Pops the head of `color`'s queue and hands it to `instance`; the claim
   // handoff (and any cold start) lands pull_claim_latency later.
-  void ClaimFrom(const std::string& key, InstanceId instance, bool steal);
+  void ClaimFrom(PendingColor& color, InstanceId instance, bool steal);
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
   // the worker died mid-handoff, returns to the head of its color queue.
   void OnClaimArrive(const AttemptPtr& attempt, InstanceId instance);
@@ -440,6 +455,10 @@ class FaasPlatform {
   // matches. No-op in push mode.
   void MaybeIdle(InstanceId instance);
   void ReleaseStealSlot(const AttemptPtr& attempt);
+  bool steal_slot_free() const {
+    return config_.steal_budget > 0 &&
+           steals_in_flight_ < config_.steal_budget;
+  }
   // The last worker left: everything pending fails over to the retry
   // layer (books must still close when membership hits zero).
   void FailAllPending();
@@ -479,8 +498,11 @@ class FaasPlatform {
   // Pull/hybrid state. Ordered containers: the claim scan iterates
   // pending_ and the matcher iterates idle_workers_, and both orders are
   // part of the deterministic claim schedule.
-  std::map<std::string, std::deque<AttemptPtr>> pending_;
+  PendingQueues pending_;
   std::size_t pending_total_ = 0;
+  // The current MatchPending call's view of pending_, in key order (kept
+  // as a member so its storage is reused across calls).
+  std::vector<PendingColor> match_colors_;
   std::uint64_t next_pending_seq_ = 1;  // age stamps for oldest-first claims
   std::set<InstanceId> idle_workers_;
   int steals_in_flight_ = 0;

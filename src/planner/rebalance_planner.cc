@@ -32,17 +32,28 @@ struct State {
   Bytes total_bytes = 0;
   Bytes moved_bytes = 0;
 
+  // The movement term alpha * moved / total_bytes; 0 when moves are free.
+  double MoveTerm(Bytes moved) const {
+    if (total_bytes == 0 || alpha <= 0) {
+      return 0;
+    }
+    return alpha *
+           (static_cast<double>(moved) / static_cast<double>(total_bytes));
+  }
+
+  // The objective of a state whose largest instance load is `max_load`
+  // (>= +0) and whose movement term is `move_term`. Adding a zero term
+  // changes no bit of a non-negative ratio.
+  double ObjectiveAt(double max_load, double move_term) const {
+    return (mean_load > 0 ? max_load / mean_load : 0) + move_term;
+  }
+
   double Objective() const {
     double max_load = 0;
     for (const double load : loads) {
       max_load = std::max(max_load, load);
     }
-    double f = mean_load > 0 ? max_load / mean_load : 0;
-    if (total_bytes > 0 && alpha > 0) {
-      f += alpha * (static_cast<double>(moved_bytes) /
-                    static_cast<double>(total_bytes));
-    }
-    return f;
+    return ObjectiveAt(max_load, MoveTerm(moved_bytes));
   }
 };
 
@@ -148,7 +159,10 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     if (config_.split_threshold > 0 && share > config_.split_threshold) {
       const int wanted =
           static_cast<int>(std::ceil(share / config_.split_threshold));
-      p.width = std::clamp(wanted, 2, std::max(max_width, 1));
+      // At least 2, at most max_width; a cap below 2 (one instance, or
+      // max_split 1) wins and keeps the color whole. Not std::clamp, whose
+      // precondition lo <= hi that cap would break.
+      p.width = std::min(std::max(wanted, 2), std::max(max_width, 1));
     } else if (current > 1 && config_.split_threshold > 0 &&
                share > config_.split_threshold / 2) {
       p.width = std::min(current, std::max(max_width, 1));
@@ -233,16 +247,6 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     }
   }
 
-  // Helper: objective delta of re-homing one slot; applies it when
-  // `commit`. Sibling-collision (two slots of one color on one instance)
-  // is rejected by the caller.
-  const auto reassign_cost = [&](std::size_t slot_index, std::size_t to) {
-    const Slot& slot = slots[slot_index];
-    state.loads[slot.instance] -= slot.load;
-    state.loads[to] += slot.load;
-    return slot.instance;  // caller restores or keeps
-  };
-
   const auto sibling_blocked = [&](std::size_t pi, std::size_t slot_index,
                                    std::size_t to) {
     const Participant& p = participants[pi];
@@ -264,56 +268,87 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     }
   }
 
+  // The movement account after slot `s` re-homes from `from` to `to`:
+  // only a primary slot leaving or returning to its color's home changes
+  // it.
+  const auto moved_after = [&](Bytes moved, std::size_t s, std::size_t from,
+                               std::size_t to) {
+    const std::size_t pi = participant_of[s];
+    if (s != first_slot[pi]) {
+      return moved;
+    }
+    const std::size_t home = participants[pi].home;
+    const Bytes bytes = move_cost[participants[pi].color];
+    if (from == home && to != home) {
+      moved += bytes;
+    } else if (from != home && to == home) {
+      moved -= bytes;
+    }
+    return moved;
+  };
+
   double objective = state.Objective();
 
   // Phase 1: steepest-descent sweeps. Each slot greedily takes the
   // instance that most improves the objective, movement cost included.
+  //
+  // A candidate changes two loads, so its max load is the larger of those
+  // two and the max over every other instance: a running prefix max over
+  // the targets already scanned plus a suffix max, built per slot, over
+  // those still ahead. That scores each candidate in O(1) instead of a
+  // scan of all n loads. Each candidate is still applied and undone on
+  // `state.loads` (a subtract-then-add that can round), because the
+  // drifted loads are what later candidates and slots see.
+  std::vector<double> suffix_max(n + 1);
   for (int round = 0; round < config_.swap_rounds; ++round) {
     bool improved = false;
     for (std::size_t s = 0; s < slots.size(); ++s) {
       const std::size_t pi = participant_of[s];
-      const bool is_primary = s == first_slot[pi];
-      const Bytes bytes = move_cost[slots[s].color];
-      std::size_t best_to = slots[s].instance;
+      const bool split = participants[pi].width > 1;
+      const std::size_t home = participants[pi].home;
+      const std::size_t from = slots[s].instance;
+      const double load = slots[s].load;
+      // A candidate's movement term depends only on whether it lands home.
+      const double term_home =
+          state.MoveTerm(moved_after(state.moved_bytes, s, from, home));
+      const double term_away =
+          state.MoveTerm(moved_after(state.moved_bytes, s, from, kUnassigned));
+      // suffix_max[i]: max of 0 and every load at index >= i except from.
+      suffix_max[n] = 0;
+      for (std::size_t i = n; i-- > 0;) {
+        suffix_max[i] = i == from ? suffix_max[i + 1]
+                                  : std::max(suffix_max[i + 1], state.loads[i]);
+      }
+      double prefix_max = 0;  // likewise over indices < to, as they stand now
+      double from_load = state.loads[from];
+      std::size_t best_to = from;
       double best_objective = objective;
       for (std::size_t to = 0; to < n; ++to) {
-        if (to == slots[s].instance || sibling_blocked(pi, s, to)) {
+        if (to == from) {
           continue;
         }
-        const std::size_t from = reassign_cost(s, to);
-        Bytes saved_moved = state.moved_bytes;
-        if (is_primary) {
-          const bool was_moved = from != participants[pi].home;
-          const bool now_moved = to != participants[pi].home;
-          if (!was_moved && now_moved) {
-            state.moved_bytes += bytes;
-          } else if (was_moved && !now_moved) {
-            state.moved_bytes -= bytes;
+        if (!split || !sibling_blocked(pi, s, to)) {
+          from_load -= load;
+          const double to_load = state.loads[to] + load;
+          const double candidate = state.ObjectiveAt(
+              std::max(std::max(prefix_max, suffix_max[to + 1]),
+                       std::max(from_load, to_load)),
+              to == home ? term_home : term_away);
+          // Undo; re-apply only if this candidate wins the scan.
+          state.loads[to] = to_load - load;
+          from_load += load;
+          if (candidate + 1e-12 < best_objective) {
+            best_objective = candidate;
+            best_to = to;
           }
         }
-        const double candidate = state.Objective();
-        // Undo; re-apply only if this candidate wins the scan.
-        state.loads[to] -= slots[s].load;
-        state.loads[from] += slots[s].load;
-        state.moved_bytes = saved_moved;
-        if (candidate + 1e-12 < best_objective) {
-          best_objective = candidate;
-          best_to = to;
-        }
+        prefix_max = std::max(prefix_max, state.loads[to]);
       }
-      if (best_to != slots[s].instance) {
-        const std::size_t from = slots[s].instance;
-        state.loads[from] -= slots[s].load;
-        state.loads[best_to] += slots[s].load;
-        if (is_primary) {
-          const bool was_moved = from != participants[pi].home;
-          const bool now_moved = best_to != participants[pi].home;
-          if (!was_moved && now_moved) {
-            state.moved_bytes += bytes;
-          } else if (was_moved && !now_moved) {
-            state.moved_bytes -= bytes;
-          }
-        }
+      state.loads[from] = from_load;
+      if (best_to != from) {
+        state.loads[from] -= load;
+        state.loads[best_to] += load;
+        state.moved_bytes = moved_after(state.moved_bytes, s, from, best_to);
         slots[s].instance = best_to;
         objective = best_objective;
         improved = true;
@@ -347,22 +382,8 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
       const Bytes saved_moved = state.moved_bytes;
       state.loads[ia] += slots[b].load - slots[a].load;
       state.loads[ib] += slots[a].load - slots[b].load;
-      const auto charge = [&](std::size_t s, std::size_t pi, std::size_t from,
-                              std::size_t to) {
-        if (s != first_slot[pi]) {
-          return;
-        }
-        const Bytes bytes = move_cost[slots[s].color];
-        const bool was_moved = from != participants[pi].home;
-        const bool now_moved = to != participants[pi].home;
-        if (!was_moved && now_moved) {
-          state.moved_bytes += bytes;
-        } else if (was_moved && !now_moved) {
-          state.moved_bytes -= bytes;
-        }
-      };
-      charge(a, pa, ia, ib);
-      charge(b, pb, ib, ia);
+      state.moved_bytes = moved_after(
+          moved_after(state.moved_bytes, a, ia, ib), b, ib, ia);
       const double candidate = state.Objective();
       if (candidate + 1e-12 < objective) {
         slots[a].instance = ib;

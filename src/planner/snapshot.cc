@@ -18,22 +18,17 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
     }
   }
 
-  // Colors come from the LB's opt-in per-color counters; sort names so the
-  // snapshot (and everything the solver derives from it) has one canonical
-  // order regardless of hash-map iteration.
-  std::vector<const std::string*> names;
-  names.reserve(lb.color_counts().size());
-  for (const auto& [color, count] : lb.color_counts()) {
-    (void)count;
-    names.push_back(&color);
+  // Colors come from the LB's opt-in per-color counters, in name order so
+  // the snapshot (and everything the solver derives from it) has one
+  // canonical order regardless of hash-map iteration.
+  if (colors_.size() != lb.color_counts().size()) {
+    Relist(lb.color_counts());
   }
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
 
-  snapshot.colors.reserve(names.size());
-  for (const std::string* name : names) {
-    const std::uint64_t count = lb.color_counts().at(*name);
-    ColorState& state = state_[*name];
+  snapshot.colors.reserve(colors_.size());
+  for (ColorState& state : colors_) {
+    const std::string& name = *state.name;
+    const std::uint64_t count = *state.count;
     const std::uint64_t window =
         count >= state.last_count ? count - state.last_count : 0;
     state.last_count = count;
@@ -41,25 +36,49 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
                  (1.0 - beta_) * state.ewma;
 
     ColorObservation obs;
-    obs.color = *name;
+    obs.color = name;
     obs.load_ewma = state.ewma;
-    const auto placement = lb.PeekColorId(*name);
+    const auto placement = lb.PeekColorId(name);
     if (placement.has_value()) {
       obs.placement = *placement;
       const std::string& home = InstanceName(*placement);
-      obs.cache_bytes = platform.cache().KeyBytes(home, *name);
+      obs.cache_bytes = platform.cache().KeyBytes(home, name);
       if (platform.storage_layer() != nullptr) {
         obs.dirty_bytes =
-            platform.storage_layer()->DirtyBytesOwnedBy(home, *name);
+            platform.storage_layer()->DirtyBytesOwnedBy(home, name);
       }
     }
-    obs.split = lb.IsSplit(*name);
+    obs.split = lb.IsSplit(name);
     if (obs.split) {
-      obs.split_members = lb.SplitMembers(*name);
+      obs.split_members = lb.SplitMembers(name);
     }
     snapshot.colors.push_back(std::move(obs));
   }
   return snapshot;
+}
+
+void SnapshotCollector::Relist(
+    const std::unordered_map<std::string, std::uint64_t>& counts) {
+  std::vector<ColorState> listed;
+  listed.reserve(counts.size());
+  for (const auto& [name, count] : counts) {
+    listed.push_back(ColorState{&name, &count});
+  }
+  std::sort(listed.begin(), listed.end(),
+            [](const ColorState& a, const ColorState& b) {
+              return *a.name < *b.name;
+            });
+  // Both lists are name-sorted and every known color is still counted, so
+  // one merge walk carries the states over (same node, same pointer).
+  std::size_t known = 0;
+  for (ColorState& state : listed) {
+    if (known < colors_.size() && colors_[known].name == state.name) {
+      state.last_count = colors_[known].last_count;
+      state.ewma = colors_[known].ewma;
+      ++known;
+    }
+  }
+  colors_ = std::move(listed);
 }
 
 }  // namespace palette

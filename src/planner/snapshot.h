@@ -74,12 +74,21 @@ class SnapshotCollector {
 
  private:
   struct ColorState {
-    std::uint64_t last_count = 0;
+    const std::string* name;       // key node in the LB's color_counts()
+    const std::uint64_t* count;    // its cumulative route count
+    std::uint64_t last_count = 0;  // *count at the previous collection
     double ewma = 0;
   };
 
+  // Re-lists `counts` into colors_, name-sorted, carrying each known
+  // color's state over.
+  void Relist(const std::unordered_map<std::string, std::uint64_t>& counts);
+
   double beta_;
-  std::unordered_map<std::string, ColorState> state_;
+  // Every color the LB has counted, sorted by name. The LB's count map
+  // only grows and its nodes never move, so these pointers stay valid and
+  // the list is re-sorted only in rounds where new colors appeared.
+  std::vector<ColorState> colors_;
 };
 
 }  // namespace palette

@@ -93,8 +93,8 @@ TEST_P(DeterminismPerPolicyTest, DifferentSeedsAreIndependent) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, DeterminismPerPolicyTest,
                          ::testing::ValuesIn(AllPolicyKinds()),
-                         [](const ::testing::TestParamInfo<PolicyKind>& info) {
-                           return std::string(PolicyKindId(info.param));
+                         [](const ::testing::TestParamInfo<PolicyKind>& param) {
+                           return std::string(PolicyKindId(param.param));
                          });
 
 TEST(DeterminismTest, ExecutedEventCountsMatchAcrossRuns) {

@@ -132,7 +132,11 @@ TEST(LruMapTest, ReinsertAfterEraseLandsAtFront) {
 TEST(LruMapTest, LinksSurviveRehashAndClearResets) {
   LruMap<int> map;
   for (int i = 0; i < 100; ++i) {
-    map.InsertFront("k" + std::to_string(i), i);  // rehashes several times
+    // Appended rather than "k" + std::to_string(i), which draws a GCC 12
+    // -Wrestrict false positive.
+    std::string key = "k";
+    key += std::to_string(i);
+    map.InsertFront(key, i);  // rehashes several times
   }
   map.Touch("k0");
   const Items contents = Contents(map);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,8 +16,12 @@
 #include "src/core/plan.h"
 #include "src/faas/platform.h"
 #include "src/faas/retry_policy.h"
+#include "src/router/router_tier.h"
 #include "src/sim/simulator.h"
+#include "src/workload/driver.h"
+#include "src/workload/fault_schedule.h"
 #include "src/workload/sharded_run.h"
+#include "src/workload/slo.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -422,6 +427,144 @@ TEST(PullDispatchDeterminismTest, ShardCountsAgreeUnderPull) {
   EXPECT_EQ(one.pulls, four.pulls);
   EXPECT_EQ(one.steals, four.steals);
   EXPECT_EQ(one.steal_bytes, four.steal_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned matcher cells. Each cell runs pull or hybrid dispatch behind four
+// spraying routers on a bursty, skewed mix with some uncolored work, and
+// crashes a worker mid-run before bringing it back. The samples digest,
+// pulls and steals of every cell were recorded from the matcher that
+// re-resolved every color's home per idle worker, before homes were
+// resolved once per MatchPending call and the call gained its early exit:
+// any change to the claim schedule fails a cell by name.
+
+struct MatcherCellResult {
+  std::uint64_t digest = 0;
+  std::uint64_t pulls = 0;
+  std::uint64_t steals = 0;
+};
+
+MatcherCellResult RunMatcherCell(FaasDispatchMode mode, int steal_budget,
+                                 std::size_t steal_min_depth) {
+  Simulator sim;
+  PlatformConfig config = PullConfig(mode);
+  config.steal_budget = steal_budget;
+  config.steal_min_depth = steal_min_depth;
+  config.retry.max_attempts = 3;
+  // Attempts stuck behind a burst time out of their queue and retry.
+  config.default_deadline = SimTime::FromMillis(40);
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 3, config);
+  platform.AddWorkers(6);
+  RouterTierConfig tier_config;
+  tier_config.routers = 4;
+  tier_config.dispatch = DispatchMode::kSpray;
+  RouterTier tier(&platform, tier_config);
+  FaultSchedule faults;
+  // The crash lands mid-burst, with work queued, claimed and running.
+  faults.Add(FaultEvent{SimTime::FromMillis(20), FaultKind::kCrash, "w2"});
+  faults.Add(
+      FaultEvent{SimTime::FromMillis(500), FaultKind::kRestart, "w2"});
+  faults.InstallOn(&sim, &platform, &tier);
+
+  // Bursts of 100 arrivals every ~0.35 ms alternate with 100 every ~4 ms;
+  // seven in sixteen invocations hit one of three hot colors, seven one of
+  // 40 cold ones, and two carry no color.
+  constexpr int kArrivals = 800;
+  constexpr std::uint32_t kUncolored = UINT32_MAX;
+  std::vector<InvocationSample> samples(kArrivals);
+  std::vector<InvocationSpec> specs(kArrivals);
+  Rng rng(29);
+  SimTime at;
+  for (int i = 0; i < kArrivals; ++i) {
+    const bool burst = (i / 100) % 2 == 0;
+    at += SimTime::FromMicros(
+        static_cast<std::int64_t>(burst ? 100 + rng.NextBelow(500)
+                                        : 2000 + rng.NextBelow(4000)));
+    const std::uint64_t pick = rng.NextBelow(16);
+    const std::uint32_t color =
+        pick < 2   ? kUncolored
+        : pick < 9 ? static_cast<std::uint32_t>(rng.NextBelow(3))
+                   : static_cast<std::uint32_t>(3 + rng.NextBelow(40));
+    InvocationSpec spec;
+    spec.function = "f";
+    spec.cpu_ops = static_cast<double>(2000000 + rng.NextBelow(6000000));
+    if (color != kUncolored) {
+      spec.color = Color(StrFormat("c%u", color));
+      for (int k = 0; k < 2; ++k) {
+        spec.inputs.push_back(ObjectRef{
+            StrFormat("c%u___o%llu", color,
+                      static_cast<unsigned long long>(rng.NextBelow(4))),
+            64 * 1024});
+      }
+    }
+    specs[static_cast<std::size_t>(i)] = std::move(spec);
+    samples[static_cast<std::size_t>(i)].intended_start = at;
+    samples[static_cast<std::size_t>(i)].color_id = color;
+    sim.At(at, [&tier, &samples, &specs, i]() {
+      InvocationSample& sample = samples[static_cast<std::size_t>(i)];
+      const auto id = tier.Invoke(
+          std::move(specs[static_cast<std::size_t>(i)]),
+          [&sample](const InvocationResult& r) {
+            sample.completed = r.completed;
+            sample.status = SampleStatus::kCompleted;
+            sample.local_hits = static_cast<std::uint16_t>(r.local_hits);
+            sample.remote_hits = static_cast<std::uint16_t>(r.remote_hits);
+            sample.misses = static_cast<std::uint16_t>(r.misses);
+          });
+      if (!id.has_value()) {
+        sample.status = SampleStatus::kRejected;
+      }
+    });
+  }
+  sim.Run();
+  EXPECT_GT(platform.total_retries(), 0u);
+  EXPECT_GT(platform.total_timeouts(), 0u);
+  EXPECT_EQ(platform.PendingTotal(), 0u);
+  EXPECT_EQ(platform.submitted_invocations(),
+            platform.completed_invocations() +
+                platform.dropped_invocations() +
+                platform.abandoned_invocations());
+  return MatcherCellResult{SamplesDigest(samples), platform.total_pulls(),
+                           platform.total_steals()};
+}
+
+TEST(PullMatcherPinnedTest, CellsMatchRecordedClaimSchedules) {
+  struct Cell {
+    FaasDispatchMode mode;
+    int steal_budget;
+    std::size_t steal_min_depth;
+    MatcherCellResult want;
+  };
+  const std::vector<Cell> cells = {
+      {FaasDispatchMode::kPull, 0, 1, {14131752755117124892u, 1179, 0}},
+      {FaasDispatchMode::kPull, 0, 2, {14131752755117124892u, 1179, 0}},
+      {FaasDispatchMode::kPull, 0, 8, {14131752755117124892u, 1179, 0}},
+      {FaasDispatchMode::kPull, 1, 1, {1804993517527796603u, 1122, 228}},
+      {FaasDispatchMode::kPull, 1, 2, {11910393025760681652u, 1109, 118}},
+      {FaasDispatchMode::kPull, 1, 8, {5314531752605684932u, 1122, 75}},
+      {FaasDispatchMode::kPull, 4, 1, {421260857137630349u, 1031, 419}},
+      {FaasDispatchMode::kPull, 4, 2, {17793889996778084635u, 1033, 173}},
+      {FaasDispatchMode::kPull, 4, 8, {4241252179266182281u, 1077, 91}},
+      {FaasDispatchMode::kHybrid, 0, 1, {2505363486399561874u, 1104, 0}},
+      {FaasDispatchMode::kHybrid, 0, 2, {2505363486399561874u, 1104, 0}},
+      {FaasDispatchMode::kHybrid, 0, 8, {2505363486399561874u, 1104, 0}},
+      {FaasDispatchMode::kHybrid, 1, 1, {11417346598665677746u, 1037, 223}},
+      {FaasDispatchMode::kHybrid, 1, 2, {2865055365752362863u, 1024, 102}},
+      {FaasDispatchMode::kHybrid, 1, 8, {4176468561694029073u, 1053, 84}},
+      {FaasDispatchMode::kHybrid, 4, 1, {3016532723586286414u, 965, 383}},
+      {FaasDispatchMode::kHybrid, 4, 2, {3900580760606825837u, 950, 159}},
+      {FaasDispatchMode::kHybrid, 4, 8, {11487890676508295608u, 1013, 86}},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(StrFormat("%s budget %d min_depth %zu",
+                           std::string(FaasDispatchModeId(cell.mode)).c_str(),
+                           cell.steal_budget, cell.steal_min_depth));
+    const MatcherCellResult got =
+        RunMatcherCell(cell.mode, cell.steal_budget, cell.steal_min_depth);
+    EXPECT_EQ(got.digest, cell.want.digest);
+    EXPECT_EQ(got.pulls, cell.want.pulls);
+    EXPECT_EQ(got.steals, cell.want.steals);
+  }
 }
 
 // ---------------------------------------------------------------------------
