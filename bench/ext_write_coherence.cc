@@ -97,10 +97,6 @@ Cell RunCell(const std::string& label, CoherenceMode mode, int routers,
   tier_config.dispatch = dispatch;
   PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
   platform_config.storage = StorageFor(mode);
-  // §5.1 name translation: colored routing homes objects where it sends
-  // their readers and writers; spray's churning placements scatter the
-  // aliases instead. This is the locality the coherence contrast measures.
-  platform_config.translate_object_names = true;
   // Remote hits leave a local copy behind — under spray that plants the
   // foreign replicas every write then has to reconcile; under sticky
   // routing reads are already local, so nothing replicates.
@@ -198,7 +194,6 @@ bool RunShardedCell(JsonWriter* json) {
   slo.warmup = SimTime::FromSeconds(2);
   PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
   platform_config.storage = StorageFor(CoherenceMode::kCausal);
-  platform_config.translate_object_names = true;
   platform_config.cache.replicate_on_remote_hit = true;
   const WorkloadSpec spec = WriteHeavySpec();
 

@@ -48,9 +48,9 @@ void MaybeTraceReplay(const std::vector<CacheAccess>& trace) {
   // Each access is one colored invocation reading its object (the §6.1
   // coloring: color = object id). Arrivals are paced so worker queues form
   // and drain, giving every span phase non-trivial mass. Object names get
-  // a "<color>___<key>" hash-key prefix; translation makes the object's
-  // cache home the instance its color routes to, so the first access per
-  // object misses to storage and later ones hit locally.
+  // a "<color>___<key>" hash-key prefix, which homes the object where its
+  // color routes (FaasPlatform::ColorHome), so the first access per object
+  // misses to storage and later ones hit locally.
   const std::size_t n = std::min(kRequests, trace.size());
   std::uint64_t completed = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -61,16 +61,14 @@ void MaybeTraceReplay(const std::vector<CacheAccess>& trace) {
              spec.function = "get_object";
              spec.color = access.key;
              spec.cpu_ops = 2e6;
-             const std::string raw =
-                 access.key + std::string(kHashKeyToken) + access.key;
              spec.inputs.push_back(ObjectRef{
-                 platform.TranslateObjectName(raw), access.size});
+                 access.key + std::string(kHashKeyToken) + access.key,
+                 access.size});
              // A small per-request response object so the store phase is
              // exercised (rendered page fragment, kept in the cache).
              spec.outputs.push_back(ObjectRef{
-                 platform.TranslateObjectName(
-                     access.key + std::string(kHashKeyToken) +
-                     StrFormat("resp%zu", i)),
+                 access.key + std::string(kHashKeyToken) +
+                     StrFormat("resp%zu", i),
                  64 * 1024});
              platform.Invoke(std::move(spec),
                              [&completed](const InvocationResult&) {

@@ -54,11 +54,10 @@ int main() {
   std::printf("\nScale-in: 'alice' moved %s -> %s (correctness unaffected)\n",
               before->c_str(), after->c_str());
 
-  // §5.1 name translation: an object named "<color>___<rest>" is rewritten
-  // so its Faa$T cache home is the instance the color maps to.
-  std::printf("\nObject-name translation for the Faa$T cache:\n");
-  std::printf("  alice___timeline -> %s\n",
-              lb.TranslateObjectName("alice___timeline").c_str());
+  // §5.1 object homes: an object named "<color>___<rest>" lives in the
+  // Faa$T cache shard of the instance its color maps to.
+  std::printf("\nFaa$T cache home of alice___timeline: %s\n",
+              palette::InstanceName(*lb.PeekColorId("alice")).c_str());
 
   // Every policy, same interface.
   std::printf("\nSame color, every policy:\n");

@@ -4,9 +4,8 @@
 
 namespace palette {
 
-FaastCache::Shard::Shard(Bytes capacity, const std::string& instance,
-                         InstanceId instance_id)
-    : owner(instance), id(instance_id), lru(capacity) {
+FaastCache::Shard::Shard(Bytes capacity, const std::string& instance)
+    : owner(instance), id(InternInstance(instance)), lru(capacity) {
   lru.set_eviction_hook(
       [this](const std::string& name, Bytes size) { Unindex(name, size); });
 }
@@ -57,20 +56,18 @@ const FaastCache::Shard* FaastCache::FindShard(
   return it == shards_.end() ? nullptr : &it->second;
 }
 
-void FaastCache::AddInstance(const std::string& instance, InstanceId id) {
+void FaastCache::AddInstance(const std::string& instance) {
   if (shards_.count(instance) > 0) {
     return;
   }
   ring_.AddMember(instance);
   Shard& shard =
-      shards_.try_emplace(instance, config_.per_instance_capacity, instance, id)
+      shards_.try_emplace(instance, config_.per_instance_capacity, instance)
           .first->second;
-  if (id != kInvalidInstanceId) {
-    if (id >= shards_by_id_.size()) {
-      shards_by_id_.resize(id + 1, nullptr);
-    }
-    shards_by_id_[id] = &shard;
+  if (shard.id >= shards_by_id_.size()) {
+    shards_by_id_.resize(shard.id + 1, nullptr);
   }
+  shards_by_id_[shard.id] = &shard;
 }
 
 void FaastCache::RemoveInstance(const std::string& instance) {
@@ -79,9 +76,7 @@ void FaastCache::RemoveInstance(const std::string& instance) {
   if (it == shards_.end()) {
     return;
   }
-  if (it->second.id != kInvalidInstanceId) {
-    shards_by_id_[it->second.id] = nullptr;
-  }
+  shards_by_id_[it->second.id] = nullptr;
   shards_.erase(it);
 }
 
@@ -97,47 +92,39 @@ std::string_view FaastCache::HashKeyOf(std::string_view object_name) {
   return object_name.substr(0, pos);
 }
 
-std::optional<std::string> FaastCache::HomeInstance(
-    std::string_view object_name) const {
-  return ring_.Lookup(HashKeyOf(object_name));
-}
-
-std::string FaastCache::Put(const std::string& producer,
-                            const std::string& object_name, Bytes size) {
-  // No assert on the producer: an invocation can legitimately finish on an
-  // instance after RemoveInstance (graceful scale-in lets running work
-  // complete), and its output store must not crash the platform. The home
-  // ring never contains removed members, so the object still lands on a
-  // live shard.
-  const auto home = HomeInstance(object_name);
-  if (!home.has_value()) {
-    // Membership is empty: nowhere to store. Report the producer as the
-    // (nominal) home so the caller's transfer is a local no-op.
-    return producer;
+void FaastCache::Put(InstanceId home, const std::string& object_name,
+                     Bytes size) {
+  // No assert: an invocation can legitimately finish after its instance
+  // left (graceful scale-in lets running work complete).
+  Shard* const shard = FindShard(home);
+  if (shard == nullptr) {
+    return;
   }
-  shards_.at(*home).Put(object_name, size);
+  shard->Put(object_name, size);
   put_bytes_ += size;
-  return *home;
 }
 
-std::string FaastCache::PutReplicated(const std::string& producer,
-                                      const std::string& object_name,
-                                      Bytes size,
-                                      const std::vector<std::string>& replicas) {
-  const std::string home = Put(producer, object_name, size);
+void FaastCache::Put(const std::string& /*producer*/,
+                     const std::string& object_name, Bytes size) {
+  const std::optional<InstanceId> home = RingHome(object_name);
+  if (home.has_value()) {
+    Put(*home, object_name, size);
+  }
+}
+
+void FaastCache::PutReplicated(InstanceId home, const std::string& object_name,
+                               Bytes size,
+                               const std::vector<std::string>& replicas) {
+  Put(home, object_name, size);
   for (const std::string& replica : replicas) {
-    if (replica == home) {
-      continue;  // the home store above already covers it
-    }
     const auto it = shards_.find(replica);
-    if (it == shards_.end()) {
-      continue;  // replica died; nothing lands, nothing is counted
+    if (it == shards_.end() || it->second.id == home) {
+      continue;  // a dead replica lands nothing; the home store covers home
     }
     it->second.Put(object_name, size);
     put_bytes_ += size;
     replicated_bytes_ += size;
   }
-  return home;
 }
 
 void FaastCache::PutLocal(const std::string& instance,
@@ -158,45 +145,43 @@ CacheLookup FaastCache::Get(const std::string& reader,
                             const std::string& object_name) {
   auto reader_it = shards_.find(reader);
   assert(reader_it != shards_.end() && "unknown reader instance");
-  return Get(reader_it->second, object_name);
+  std::optional<CacheLookup> hit = GetLocal(reader_it->second, object_name);
+  return hit ? std::move(*hit)
+             : GetFromHome(reader_it->second, object_name,
+                           RingHome(object_name));
 }
 
-CacheLookup FaastCache::Get(InstanceId reader,
-                            const std::string& object_name) {
-  assert(reader < shards_by_id_.size() && shards_by_id_[reader] != nullptr &&
-         "unknown reader instance");
-  return Get(*shards_by_id_[reader], object_name);
+std::optional<CacheLookup> FaastCache::GetLocal(
+    Shard& reader, const std::string& object_name) {
+  const std::optional<Bytes> size = reader.lru.Get(object_name);
+  if (!size.has_value()) {
+    return std::nullopt;
+  }
+  ++local_hits_;
+  local_hit_bytes_ += *size;
+  return CacheLookup{CacheOutcome::kLocalHit, reader.owner, *size};
 }
 
-CacheLookup FaastCache::Get(Shard& reader_shard,
-                            const std::string& object_name) {
-  if (const std::optional<Bytes> size = reader_shard.lru.Get(object_name)) {
-    ++local_hits_;
-    local_hit_bytes_ += *size;
-    return CacheLookup{CacheOutcome::kLocalHit, reader_shard.owner, *size};
+CacheLookup FaastCache::GetFromHome(Shard& reader,
+                                    const std::string& object_name,
+                                    std::optional<InstanceId> home) {
+  const Shard* home_shard =
+      home.has_value() && *home != reader.id ? FindShard(*home) : nullptr;
+  const std::optional<Bytes> resident =
+      home_shard != nullptr ? home_shard->lru.Peek(object_name) : std::nullopt;
+  if (!resident.has_value()) {
+    ++misses_;
+    return CacheLookup{};
   }
-
-  const auto home = HomeInstance(object_name);
-  if (home.has_value() && *home != reader_shard.owner) {
-    const Shard* home_shard = FindShard(*home);
-    const std::optional<Bytes> resident =
-        home_shard != nullptr ? home_shard->lru.Peek(object_name)
-                              : std::nullopt;
-    if (resident.has_value()) {
-      ++remote_hits_;
-      const Bytes size = *resident;
-      remote_hit_bytes_ += size;
-      if (config_.replicate_on_remote_hit) {
-        reader_shard.Put(object_name, size);
-        put_bytes_ += size;
-        replicated_bytes_ += size;
-      }
-      return CacheLookup{CacheOutcome::kRemoteHit, *home, size};
-    }
+  ++remote_hits_;
+  const Bytes size = *resident;
+  remote_hit_bytes_ += size;
+  if (config_.replicate_on_remote_hit) {
+    reader.Put(object_name, size);
+    put_bytes_ += size;
+    replicated_bytes_ += size;
   }
-
-  ++misses_;
-  return CacheLookup{};
+  return CacheLookup{CacheOutcome::kRemoteHit, home_shard->owner, size};
 }
 
 void FaastCache::Invalidate(const std::string& object_name) {

@@ -1,12 +1,12 @@
 // Faa$T-style distributed serverless object cache (§5.1).
 //
 // Each application instance hosts a cache shard holding the objects produced
-// on that worker. An object's *home* instance is found by consistent hashing
-// of its name — except that, as in the paper's modification, a name of the
-// form "<key>___<rest>" hashes by "<key>" alone. The Palette load balancer
-// exploits this: it rewrites the color prefix of input/output names to the
-// *instance name* the color maps to, and because the ring maps a member name
-// to itself, the object's home becomes exactly the instance that produced it.
+// on that worker. An object's *home* is the shard it is stored in and read
+// back from by peers. The platform names it: for "<color>___<rest>" (the
+// paper's hash-key prefix) the home is where the load balancer places the
+// color (FaasPlatform::ColorHome), so a color's objects live where it runs.
+// Otherwise, and for name-only callers, the cache ring's hash of the hashing
+// key decides (RingHome).
 //
 // The two §5.1 requirements hold by construction:
 //   (i)  objects stay cached where they were produced until evicted;
@@ -14,12 +14,14 @@
 #ifndef PALETTE_SRC_CACHE_FAAST_CACHE_H_
 #define PALETTE_SRC_CACHE_FAAST_CACHE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/cache/lru_cache.h"
@@ -61,10 +63,9 @@ class FaastCache {
   explicit FaastCache(FaastCacheConfig config = {});
 
   // Instance membership. Removing an instance drops its shard (the paper's
-  // semantics: state on a reclaimed worker is lost). Passing the instance's
-  // interned `id` also indexes the shard for the id overload of Get.
-  void AddInstance(const std::string& instance,
-                   InstanceId id = kInvalidInstanceId);
+  // semantics: state on a reclaimed worker is lost). Shards are indexed by
+  // the instance's interned id as well as by name.
+  void AddInstance(const std::string& instance);
   void RemoveInstance(const std::string& instance);
   std::size_t instance_count() const { return shards_.size(); }
   bool HasInstance(const std::string& instance) const;
@@ -73,31 +74,26 @@ class FaastCache {
   // present, the whole name otherwise.
   static std::string_view HashKeyOf(std::string_view object_name);
 
-  // The instance that owns (is home for) `object_name` under consistent
-  // hashing of its hashing key. Empty optional when no instances exist.
-  std::optional<std::string> HomeInstance(std::string_view object_name) const;
-  // The home's interned id (no name string is built).
-  std::optional<InstanceId> HomeInstanceId(std::string_view object_name) const {
+  // The cache ring's instance for `object_name`'s hashing key. Empty
+  // optional when no instances exist.
+  std::optional<InstanceId> RingHome(std::string_view object_name) const {
     return ring_.LookupId(HashKeyOf(object_name));
   }
 
-  // Writes an object produced at `producer`. The object is stored at its
-  // *home* instance (under Palette's color translation home == producer, so
-  // the write is local; under an oblivious far-memory setup it may be a
-  // remote write). Returns the instance the object was stored at.
-  std::string Put(const std::string& producer, const std::string& object_name,
-                  Bytes size);
+  // Stores an object in `home`'s shard; a home with no shard (it left the
+  // cluster) stores nothing. The name-only overload homes the object on the
+  // ring (RingHome), wherever `producer` is.
+  void Put(InstanceId home, const std::string& object_name, Bytes size);
+  void Put(const std::string& producer, const std::string& object_name,
+           Bytes size);
 
-  // Writes an object produced at `producer` to its home shard AND to every
-  // live instance in `replicas` (a replicated/split color's replica set).
-  // Accounting counts bytes once per *landed* copy: put_bytes grows by one
-  // size per store and replicated_bytes by one size per extra copy beyond
-  // the home — the paper's locality-diffusion cost measured honestly. (A
-  // plain Put used to count one size no matter how many replicas a policy
-  // fanned the color across.) Returns the home instance, as Put does.
-  std::string PutReplicated(const std::string& producer,
-                            const std::string& object_name, Bytes size,
-                            const std::vector<std::string>& replicas);
+  // Stores an object in `home`'s shard AND in every live instance in
+  // `replicas` (a replicated/split color's replica set). Accounting counts
+  // bytes once per *landed* copy: put_bytes grows by one size per store and
+  // replicated_bytes by one size per extra copy beyond the home — the
+  // paper's locality-diffusion cost measured honestly.
+  void PutReplicated(InstanceId home, const std::string& object_name,
+                     Bytes size, const std::vector<std::string>& replicas);
 
   // Stores an object directly in `instance`'s shard regardless of its home
   // (miss fills and app-managed local caching).
@@ -109,14 +105,20 @@ class FaastCache {
   bool ContainsLocal(const std::string& instance,
                      const std::string& object_name) const;
 
-  // Reads an object from `reader`. Checks the reader's shard, then the home
-  // shard. Never mutates peer LRU order. A local hit costs one probe of the
-  // reader's shard.
+  // Reads an object from `reader`: its own shard first, then the shard of
+  // the object's home, the std::optional<InstanceId> `home_of()` returns.
+  // It is called only on a local miss, so a local hit costs one probe of
+  // the reader's shard. Never mutates peer LRU order. The name-only
+  // overload reads from the ring home.
+  template <typename HomeOf>
+  CacheLookup Get(InstanceId reader, const std::string& object_name,
+                  HomeOf&& home_of) {
+    Shard* const shard = FindShard(reader);
+    assert(shard != nullptr && "unknown reader instance");
+    std::optional<CacheLookup> hit = GetLocal(*shard, object_name);
+    return hit ? std::move(*hit) : GetFromHome(*shard, object_name, home_of());
+  }
   CacheLookup Get(const std::string& reader, const std::string& object_name);
-  // The same read for a reader added with its interned id: the shard comes
-  // from an id-indexed table instead of a name lookup (the platform's
-  // per-invocation fetch path).
-  CacheLookup Get(InstanceId reader, const std::string& object_name);
 
   // Drops an object everywhere (used by tests and churn experiments).
   void Invalidate(const std::string& object_name);
@@ -182,7 +184,7 @@ class FaastCache {
   // reports, so the index is always exact. Pinned in place: the hook
   // points back at the shard, and the id table points at it.
   struct Shard {
-    Shard(Bytes capacity, const std::string& instance, InstanceId instance_id);
+    Shard(Bytes capacity, const std::string& instance);
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
@@ -193,20 +195,28 @@ class FaastCache {
     void Unindex(std::string_view name, Bytes size);
 
     const std::string owner;  // the instance (CacheLookup::owner)
-    const InstanceId id;      // kInvalidInstanceId when added by name only
+    const InstanceId id;      // owner's interned id
     LruCache lru;
     std::unordered_map<std::string, KeyFootprint, TransparentStringHash,
                        std::equal_to<>>
         keys;
   };
   const Shard* FindShard(const std::string& instance) const;
-  CacheLookup Get(Shard& reader, const std::string& object_name);
+  Shard* FindShard(InstanceId id) const {
+    return id < shards_by_id_.size() ? shards_by_id_[id] : nullptr;
+  }
+  // The two halves of a read: the reader's shard (counts only a hit), then
+  // the home's shard (counts a remote hit or a miss).
+  std::optional<CacheLookup> GetLocal(Shard& reader,
+                                      const std::string& object_name);
+  CacheLookup GetFromHome(Shard& reader, const std::string& object_name,
+                          std::optional<InstanceId> home);
 
   FaastCacheConfig config_;
   ConsistentHashRing ring_;
   std::unordered_map<std::string, Shard> shards_;
-  // shards_by_id_[id] is the shard of the instance added with interned id
-  // `id`, or null.
+  // shards_by_id_[id] is the shard of the instance with interned id `id`,
+  // or null.
   std::vector<Shard*> shards_by_id_;
   std::uint64_t local_hits_ = 0;
   std::uint64_t remote_hits_ = 0;

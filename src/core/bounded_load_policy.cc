@@ -79,14 +79,15 @@ std::optional<InstanceId> BoundedLoadPolicy::RouteColoredId(
 
 void BoundedLoadPolicy::RemapColor(std::string_view color, InstanceId to,
                                    bool count_move) {
+  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  InstanceId* const assigned = table_.Peek(key);
+  if (assigned != nullptr && *assigned == to) {
+    return;  // Already there (the common case for a passively learned route).
+  }
   if (assigned_counts_.find(to) == assigned_counts_.end()) {
     return;  // Target left between snapshot and apply; skip the remap.
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
-  if (InstanceId* assigned = table_.Peek(key)) {
-    if (*assigned == to) {
-      return;
-    }
+  if (assigned != nullptr) {
     auto old_it = assigned_counts_.find(*assigned);
     if (old_it != assigned_counts_.end() && old_it->second > 0) {
       --old_it->second;

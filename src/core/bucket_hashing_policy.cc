@@ -32,6 +32,15 @@ std::optional<InstanceId> BucketHashingPolicy::RouteColoredId(
   return bucket.owner;
 }
 
+std::optional<InstanceId> BucketHashingPolicy::PeekColorId(
+    std::string_view color) const {
+  if (instance_ids().empty()) {
+    return std::nullopt;
+  }
+  return buckets_[Murmur3_64(color, bucket_hash_seed_) % buckets_.size()]
+      .owner;
+}
+
 void BucketHashingPolicy::MoveBucket(std::size_t index, InstanceId to) {
   Bucket& bucket = buckets_[index];
   if (bucket.owner != kInvalidInstanceId) {

@@ -44,6 +44,9 @@ class BucketHashingPolicy : public PolicyBase {
                                BucketHashingConfig config = {});
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
+  // The color's bucket owner, where RouteColoredId sends it, without
+  // feeding the bucket's sketch.
+  std::optional<InstanceId> PeekColorId(std::string_view color) const override;
   void OnInstanceAdded(const std::string& instance) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;

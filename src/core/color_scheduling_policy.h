@@ -64,9 +64,11 @@ class ColorSchedulingPolicy {
   // whether scheduling rounds against this policy is worthwhile.
   virtual bool supports_planning() const { return false; }
   virtual void ApplyPlan(const Plan& plan) { (void)plan; }
-  // Non-mutating view of a color's current mapping, if the policy keeps
-  // one. Unlike RouteColoredId this never creates or refreshes an entry,
-  // so snapshot collection does not disturb the table it observes.
+  // Non-mutating view of a color's single placement: a table policy's
+  // entry or a hashing policy's route; nullopt for policies that fan a
+  // color out (replicated, oblivious). Unlike RouteColoredId this never
+  // creates or refreshes an entry, so snapshot collection does not disturb
+  // the table it observes.
   virtual std::optional<InstanceId> PeekColorId(std::string_view color) const {
     (void)color;
     return std::nullopt;

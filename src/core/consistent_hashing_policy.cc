@@ -13,6 +13,11 @@ std::optional<InstanceId> ConsistentHashingPolicy::RouteColoredId(
   return ring_.LookupId(color);
 }
 
+std::optional<InstanceId> ConsistentHashingPolicy::PeekColorId(
+    std::string_view color) const {
+  return ring_.LookupId(color);
+}
+
 void ConsistentHashingPolicy::OnInstanceAdded(const std::string& instance) {
   PolicyBase::OnInstanceAdded(instance);
   ring_.AddMember(instance);

@@ -17,6 +17,9 @@ class ConsistentHashingPolicy : public PolicyBase {
   explicit ConsistentHashingPolicy(std::uint64_t seed, int virtual_nodes = 128);
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
+  // Routing is a pure function of color and membership, so the route is
+  // also the color's placement.
+  std::optional<InstanceId> PeekColorId(std::string_view color) const override;
   void OnInstanceAdded(const std::string& instance) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/cache/faast_cache.h"
-
 namespace palette {
 
 PaletteLoadBalancer::PaletteLoadBalancer(
@@ -107,48 +105,13 @@ void PaletteLoadBalancer::RemoveInstance(const std::string& instance) {
   policy_->OnInstanceRemoved(instance);
 }
 
-std::optional<InstanceId> PaletteLoadBalancer::ResolveColorId(
-    const Color& color) {
-  if (!splits_.empty()) {
-    // Object names of a split color translate to the primary (first,
-    // heaviest-weighted) member, so the color's cached objects stay
-    // findable at one home while routes fan out.
-    const auto split_it = splits_.find(TruncateColor(color));
-    if (split_it != splits_.end()) {
-      return split_it->second.instances.front();
-    }
-  }
-  return policy_->RouteColoredId(color);
-}
-
 std::optional<std::string> PaletteLoadBalancer::ResolveColor(
     const Color& color) {
-  const auto id = ResolveColorId(color);
+  const auto id = policy_->RouteColoredId(color);
   if (!id.has_value()) {
     return std::nullopt;
   }
   return InstanceName(*id);
-}
-
-std::string PaletteLoadBalancer::TranslateObjectName(
-    const std::string& object_name) {
-  const std::size_t pos = object_name.find(kHashKeyToken);
-  if (pos == std::string::npos || pos == 0) {
-    // No hash-key prefix, or an empty one ("___rest"): nothing to
-    // translate. An empty color is not a hint, and resolving it would
-    // fabricate an empty-color mapping in the policy's table.
-    return object_name;
-  }
-  // Names with several separators ("a___b___c") split at the first one:
-  // the prefix is "a", the rest ("___b___c") is carried through verbatim.
-  const auto instance =
-      ResolveColorId(object_name.substr(0, pos));
-  if (!instance.has_value()) {
-    // The prefix resolves to no instance (empty membership): leave the
-    // name untranslated; the cache will hash it by its raw prefix.
-    return object_name;
-  }
-  return InstanceName(*instance) + object_name.substr(pos);
 }
 
 std::uint64_t PaletteLoadBalancer::RoutedToId(InstanceId id) const {
@@ -217,11 +180,20 @@ void PaletteLoadBalancer::ApplyPlan(const Plan& plan) {
 }
 
 void PaletteLoadBalancer::NoteExternalRoute(const Color& color,
-                                            InstanceId instance) {
-  if (!color_stats_enabled_) {
+                                            InstanceId instance,
+                                            bool placement) {
+  if (color_stats_enabled_) {
+    ++color_counts_[color];
+  }
+  // A sprayed route is one replica's pick, not the color's placement:
+  // re-teaching each one would move the color's home (and strand its
+  // objects) on every route. It places only a color nothing placed yet,
+  // so the planner's snapshots see it; after that the home moves only by
+  // plan.
+  if (!placement &&
+      (!color_stats_enabled_ || PeekColorId(color).has_value())) {
     return;
   }
-  ++color_counts_[color];
   policy_->ObserveRoute(color, instance);
 }
 

@@ -45,15 +45,10 @@ class PaletteLoadBalancer {
   void RemoveInstance(const std::string& instance);
   const std::vector<std::string>& instances() const { return instances_; }
 
-  // Translates a color to the instance it maps to *without* recording an
-  // invocation. Used for Faa$T object-name translation (§5.1): the LB
-  // rewrites input/output color prefixes to instance names.
-  std::optional<InstanceId> ResolveColorId(const Color& color);
+  // Resolves a color to the instance the policy maps it to *without*
+  // recording an invocation, placing it first if the policy has not yet
+  // (the DAG executors pre-register a graph's colors heaviest-first).
   std::optional<std::string> ResolveColor(const Color& color);
-
-  // Rewrites "<color>___rest" to "<instance>___rest" per §5.1. Names without
-  // a hash-key prefix are returned unchanged.
-  std::string TranslateObjectName(const std::string& object_name);
 
   ColorSchedulingPolicy& policy() { return *policy_; }
   const ColorSchedulingPolicy& policy() const { return *policy_; }
@@ -94,13 +89,18 @@ class PaletteLoadBalancer {
   std::uint64_t planner_merges() const { return planner_merges_; }
 
   // Passive learning for externally routed traffic (docs/PLANNER.md): a
-  // route decided by a router replica's view landed `color` on `instance`.
-  // Records the per-color count and teaches the policy's table the real
-  // placement so a platform-side planner can snapshot it. No-op unless
-  // color stats are enabled (the planner runtime enables them).
-  void NoteExternalRoute(const Color& color, InstanceId instance);
+  // router replica's view landed `color` on `instance`. A route that is the
+  // color's `placement` (color-partitioned tier) teaches the policy's table,
+  // so PeekColorId (the platform's color home) is where the tier runs it.
+  // With color stats on (the planner runtime's) every route counts, and a
+  // sprayed route places a color that has no placement yet, so a
+  // platform-side planner snapshots placements under spray; from then on
+  // only plans move that home.
+  void NoteExternalRoute(const Color& color, InstanceId instance,
+                         bool placement);
 
-  // Snapshot-side views (non-mutating; planner collector).
+  // Non-mutating views (planner collector, FaasPlatform::ColorHome).
+  // PeekColorId is a split color's primary, else the policy's placement.
   std::optional<InstanceId> PeekColorId(std::string_view color) const;
   std::size_t split_count() const { return splits_.size(); }
   bool IsSplit(std::string_view color) const;

@@ -12,7 +12,7 @@
 namespace palette {
 namespace {
 
-std::string RawObjectName(const DagColoring& coloring, int task_id) {
+std::string ObjectName(const DagColoring& coloring, int task_id) {
   const auto& color = coloring.color_of[task_id];
   if (color.has_value()) {
     return *color + std::string(kHashKeyToken) + StrFormat("t%d", task_id);
@@ -104,13 +104,11 @@ DagRunResult RunDagOnFaas(const Dag& dag, const DagRunConfig& config,
     spec.color = coloring.color_of[task_id];
     spec.cpu_ops = task.cpu_ops;
     for (int dep : task.deps) {
-      spec.inputs.push_back(ObjectRef{
-          platform.TranslateObjectName(RawObjectName(coloring, dep)),
-          dag.task(dep).output_bytes});
+      spec.inputs.push_back(
+          ObjectRef{ObjectName(coloring, dep), dag.task(dep).output_bytes});
     }
-    spec.outputs.push_back(ObjectRef{
-        platform.TranslateObjectName(RawObjectName(coloring, task_id)),
-        task.output_bytes});
+    spec.outputs.push_back(
+        ObjectRef{ObjectName(coloring, task_id), task.output_bytes});
 
     const auto id = platform.Invoke(
         std::move(spec), [&, task_id](const InvocationResult& inv) {
@@ -204,11 +202,9 @@ SharedRunResult RunDagsOnSharedPlatform(const std::vector<DagJob>& jobs,
       const auto object_name = [&](int id) {
         const auto& color =
             states[j].coloring.color_of[static_cast<std::size_t>(id)];
-        const std::string raw =
-            color.has_value()
-                ? *color + std::string(kHashKeyToken) + StrFormat("t%d", id)
-                : StrFormat("job%zu/t%d", j, id);
-        return platform.TranslateObjectName(raw);
+        return color.has_value()
+                   ? *color + std::string(kHashKeyToken) + StrFormat("t%d", id)
+                   : StrFormat("job%zu/t%d", j, id);
       };
       InvocationSpec spec;
       spec.function = "dag_eval";

@@ -3,8 +3,8 @@
 // inputs and outputs flow through the Faa$T cache).
 //
 // Object naming follows §5.1. With a Palette coloring, task t's output is
-// "<color(t)>___t<id>", and the platform translates the color prefix to the
-// instance the color maps to, so the object's cache home is the producing
+// "<color(t)>___t<id>", and the platform homes it where the color is placed
+// (FaasPlatform::ColorHome), so the object's cache home is the producing
 // worker. Without colors (oblivious baselines), the name is "t<id>" and the
 // home falls wherever consistent hashing of the name lands — the behavior of
 // far-memory object stores the paper compares against.

@@ -69,7 +69,7 @@ void FaasPlatform::AddWorker(const std::string& name, double speed) {
   workers_[id] = std::make_unique<Worker>(sim_, interned, speed);
   ++worker_count_;
   network_ptr_->AddNode(interned, id);
-  cache_.AddInstance(interned, id);
+  cache_.AddInstance(interned);
   if (storage_ != nullptr) {
     storage_->OnInstanceJoin(name);
   }
@@ -238,7 +238,7 @@ std::optional<std::uint64_t> FaasPlatform::Invoke(
   attempt->spec = std::make_shared<InvocationSpec>(std::move(spec));
   attempt->result = std::move(result);
   attempt->on_complete = std::move(on_complete);
-  DispatchTo(attempt, *instance);
+  DispatchTo(attempt, RoutedTarget{*instance, -1});
   return id;
 }
 
@@ -265,11 +265,13 @@ std::optional<std::uint64_t> FaasPlatform::InvokeVia(
   attempt->on_complete = std::move(on_complete);
   attempt->route = std::move(route);
   attempt->route_hop = route_hop;
-  DispatchTo(attempt, target->instance);
+  DispatchTo(attempt, *target);
   return id;
 }
 
-void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
+void FaasPlatform::DispatchTo(const AttemptPtr& attempt,
+                              const RoutedTarget& to) {
+  const InstanceId target = to.instance;
   attempt->worker = target;
   InvocationResult& result = *attempt->result;
   result.attempts = attempt->number;
@@ -288,21 +290,10 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   result.instance = worker.name;
   if (attempt->route != nullptr && attempt->spec->color.has_value()) {
     // Externally routed (tier) traffic never touches lb_.RouteId, so the
-    // platform-side planner's snapshots would see nothing. Teach the LB the
-    // placement passively (no-op unless color stats are on).
-    lb_.NoteExternalRoute(*attempt->spec->color, target);
+    // LB learns the tier's placement passively (ColorHome, and a
+    // platform-side planner's snapshots, read it).
+    lb_.NoteExternalRoute(*attempt->spec->color, target, to.placement);
   }
-  if (config_.translate_object_names && attempt->number == 1) {
-    // §5.1 name translation (see PlatformConfig): first attempt only, so
-    // retries keep the names their caches already warmed under.
-    for (ObjectRef& input : attempt->spec->inputs) {
-      input.name = lb_.TranslateObjectName(input.name);
-    }
-    for (ObjectRef& output : attempt->spec->outputs) {
-      output.name = lb_.TranslateObjectName(output.name);
-    }
-  }
-
   const SimTime budget = attempt->spec->deadline > SimTime()
                              ? attempt->spec->deadline
                              : config_.default_deadline;
@@ -320,9 +311,9 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   // Hybrid honors the push binding only when it costs nothing: the routed
   // worker is idle right now AND the bind does not sacrifice locality —
   // the work is uncolored, or the routed worker is the color's home
-  // (cache-ring shard or LB placement). A locality-blind "push when idle"
-  // would let a spraying router tier bind cold workers to foreign colors
-  // at every load dip, spreading replicas fleet-wide.
+  // (ColorHome). A locality-blind "push when idle" would let a spraying
+  // router tier bind cold workers to foreign colors at every load dip,
+  // spreading replicas fleet-wide.
   const bool hybrid_push_ok = [&]() {
     if (config_.dispatch_mode != FaasDispatchMode::kHybrid) {
       return false;
@@ -536,7 +527,7 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
     return;
   }
   result.router = target->router;
-  DispatchTo(next, target->instance);
+  DispatchTo(next, *target);
 }
 
 void FaasPlatform::StartNextOnWorker(InstanceId instance) {
@@ -571,7 +562,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   for (const ObjectRef& input : spec->inputs) {
     payload_bytes += input.size;
     const SimTime fetch_issued = sim_->Now();
-    CacheLookup lookup = cache_.Get(instance, input.name);
+    CacheLookup lookup = cache_.Get(instance, input.name,
+                                    [&] { return ObjectHome(input.name); });
     SimTime done;
     FetchSource source = FetchSource::kLocal;
     Bytes fetched_bytes = lookup.size;
@@ -587,18 +579,26 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
           done = storage_->OnLocalRead(instance_name, input.name, done);
         }
         break;
-      case CacheOutcome::kRemoteHit:
+      case CacheOutcome::kRemoteHit: {
         ++result->remote_hits;
         result->network_bytes += lookup.size;
         source = FetchSource::kRemote;
         done = network_ptr_->Transfer(lookup.owner, instance_name,
                                       lookup.size);
-        if (storage_ != nullptr && config_.cache.replicate_on_remote_hit) {
-          // The cache just copied the object into the reader's shard; the
-          // home serves the authoritative copy, so the new copy is fresh.
+        bool copied = config_.cache.replicate_on_remote_hit;
+        if (!copied &&
+            IsSplitMember(FaastCache::HashKeyOf(input.name), instance)) {
+          // A split color runs on every member, so each member keeps its
+          // own copy of the color's objects, fetched once from the home.
+          cache_.PutLocal(instance_name, input.name, lookup.size);
+          copied = true;
+        }
+        if (storage_ != nullptr && copied) {
+          // The home serves the authoritative copy, so the new one is fresh.
           storage_->NoteCopy(instance_name, input.name);
         }
         break;
+      }
       case CacheOutcome::kMiss: {
         ++result->misses;
         const auto it = storage_objects_.find(input.name);
@@ -660,27 +660,27 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     SimTime completed = sim_->Now();
     // Output placement: the invocation is not finished until its outputs
     // are stored at their home instances, and the single-threaded worker
-    // blocks on the put. Under Palette's color translation the home is the
-    // producing worker itself (a fast local store); under far-memory-style
-    // naming the put crosses the network — the write-side cost oblivious
-    // routing pays.
+    // blocks on the put. A colored output's home is its color's home, so
+    // the color's own worker stores locally; any other producer (a steal,
+    // a spraying router, oblivious routing) pays a remote put.
     for (const ObjectRef& output : spec2->outputs) {
+      const InstanceId home = ObjectHome(output.name).value_or(instance);
       std::vector<std::string> replicas;
       if (storage_ != nullptr) {
         replicas = WriteReplicasFor(FaastCache::HashKeyOf(output.name));
       }
-      const std::string home =
-          replicas.empty()
-              ? cache_.Put(result2->instance, output.name, output.size)
-              : cache_.PutReplicated(result2->instance, output.name,
-                                     output.size, replicas);
-      SimTime done =
-          network_ptr_->Transfer(result2->instance, home, output.size);
+      if (replicas.empty()) {
+        cache_.Put(home, output.name, output.size);
+      } else {
+        cache_.PutReplicated(home, output.name, output.size, replicas);
+      }
+      SimTime done = network_ptr_->Transfer(instance, home, output.size);
       if (storage_ != nullptr) {
+        const std::string& home_name = InstanceName(home);
         // Replicas beyond the home receive their synchronous copy from
         // the producer too; the slowest transfer gates the write.
         for (const std::string& replica : replicas) {
-          if (replica == home || !cache_.HasInstance(replica)) {
+          if (replica == home_name || !cache_.HasInstance(replica)) {
             continue;
           }
           const SimTime copy_done = network_ptr_->Transfer(
@@ -689,7 +689,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
             done = copy_done;
           }
         }
-        done = storage_->OnWrite(result2->instance, home, output.name,
+        done = storage_->OnWrite(result2->instance, home_name, output.name,
                                  output.size, spec2->coherence, replicas,
                                  done);
       }
@@ -789,7 +789,20 @@ void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
 std::optional<InstanceId> FaasPlatform::ColorHome(
     std::string_view key) const {
   const auto placed = lb_.PeekColorId(key);
-  return placed.has_value() ? placed : cache_.HomeInstanceId(key);
+  return placed.has_value() ? placed : cache_.RingHome(key);
+}
+
+bool FaasPlatform::IsSplitMember(std::string_view key,
+                                 InstanceId instance) const {
+  const std::vector<InstanceId> members = lb_.SplitMembers(key);
+  return std::find(members.begin(), members.end(), instance) != members.end();
+}
+
+std::optional<InstanceId> FaasPlatform::ObjectHome(
+    std::string_view object_name) const {
+  const std::string_view key = FaastCache::HashKeyOf(object_name);
+  const bool colored = !key.empty() && key.size() < object_name.size();
+  return colored ? ColorHome(key) : cache_.RingHome(key);
 }
 
 bool FaasPlatform::PopCancelledHeads(std::deque<AttemptPtr>& queue) {
@@ -861,15 +874,8 @@ bool FaasPlatform::TryPullFor(InstanceId instance) {
   }
   // One deterministic scan over the color queues, classifying each by
   // affinity to this worker:
-  //   0 — this worker hosts the color. The load balancer's placed
-  //       instance wins when a placement exists (that is where the
-  //       color's runs — and cached bytes — have been landing); the
-  //       cache ring's home shard is the fallback, always defined while
-  //       workers exist, for when routing runs in a fronting tier and
-  //       the platform LB never placed the color itself. The two must
-  //       not be OR'd: treating both as home splits a placed color's
-  //       working set across two caches and halves its hit ratio
-  //       (ColorHome);
+  //   0 — this worker is the color's home (ColorHome): where its objects
+  //       are stored, so its reads here are local;
   //   1 — unowned: uncolored work, or a color with no home anywhere to
   //       prefer (claiming it robs nobody);
   //   2 — foreign: the color's home is another live worker — claiming is
@@ -1166,32 +1172,36 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
   ++planner_rounds_;
   last_plan_objective_ = plan.objective_after;
 
-  // Charge migration costs against the PRE-apply placement (that is where
-  // the moved colors' cached bytes actually sit), then remap the tables.
-  // Merges migrate like moves: the color's footprint follows it back to
-  // its single home.
+  // Charge migration costs for every moved or merged color the plan
+  // re-homes: its cached objects leave its home before the plan (where they
+  // sit) for its home after. A move the policy does not apply (the target
+  // raced a crash, or a hashing policy has no table) hauls nothing.
   struct Migration {
     const Color* color;
-    InstanceId to;
+    InstanceId from;
   };
   std::vector<Migration> migrations;
   migrations.reserve(plan.merges.size() + plan.moves.size());
+  const auto note_home = [&](const Color& color) {
+    if (const auto from = lb_.PeekColorId(color)) {
+      migrations.push_back(Migration{&color, *from});
+    }
+  };
   for (const PlanMerge& merge : plan.merges) {
-    migrations.push_back(Migration{&merge.color, merge.to});
+    note_home(merge.color);
   }
   for (const PlanMove& move : plan.moves) {
-    migrations.push_back(Migration{&move.color, move.to});
+    note_home(move.color);
   }
+  lb_.ApplyPlan(plan);
+
   for (const Migration& migration : migrations) {
-    if (!HasWorkerId(migration.to)) {
-      continue;  // Plan raced a crash; the LB skips the remap too.
+    const auto to = lb_.PeekColorId(*migration.color);
+    if (!to.has_value() || *to == migration.from || !HasWorkerId(*to)) {
+      continue;  // Not re-homed: no bytes to haul.
     }
-    const auto src = lb_.PeekColorId(*migration.color);
-    if (!src.has_value() || *src == migration.to) {
-      continue;  // Nothing placed yet, or a no-op move: no bytes to haul.
-    }
-    const std::string& src_name = InstanceName(*src);
-    const std::string& dst_name = InstanceName(migration.to);
+    const std::string& src_name = InstanceName(migration.from);
+    const std::string& dst_name = InstanceName(*to);
     auto batch = std::make_shared<std::vector<FaastCache::ResidentObject>>(
         cache_.PeekKeyObjects(src_name, *migration.color));
     if (batch->empty()) {
@@ -1218,7 +1228,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
     }
     // The batch lands at the destination when its slowest transfer
     // completes; until then routed traffic misses there (cold-ish hits).
-    const InstanceId dst_id = migration.to;
+    const InstanceId dst_id = *to;
     sim_->At(landed, [this, dst_id, batch]() {
       const Worker* dst = FindWorker(dst_id);
       if (dst == nullptr) {
@@ -1233,8 +1243,6 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
       }
     });
   }
-
-  lb_.ApplyPlan(plan);
   if (plan_listener_) {
     plan_listener_(plan);
   }

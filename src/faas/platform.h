@@ -101,12 +101,12 @@ struct PlatformConfig {
   // and let idle workers late-bind work from per-color pending queues.
   FaasDispatchMode dispatch_mode = FaasDispatchMode::kPush;
   // Pull/hybrid: cap on concurrently outstanding *stolen* claims —
-  // claims of a color whose home (cache-ring shard or LB placement) is
-  // another live worker, which pay the modeled remote-fetch penalty when
-  // they run. A slot is held from the claim until the stolen attempt
-  // completes (or fails back to the queue), so the budget bounds how much
-  // of the fleet can be busy on foreign work at once. 0 disables
-  // stealing: idle workers only claim home/unowned colors.
+  // claims of a color whose home (FaasPlatform::ColorHome) is another live
+  // worker, which pay the modeled remote-fetch penalty when they run. A
+  // slot is held from the claim until the stolen attempt completes (or
+  // fails back to the queue), so the budget bounds how much of the fleet
+  // can be busy on foreign work at once. 0 disables stealing: idle workers
+  // only claim home/unowned colors.
   int steal_budget = 4;
   // Pull/hybrid: a foreign color only qualifies for stealing once its
   // pending queue is at least this deep ("steal the hottest color").
@@ -124,16 +124,6 @@ struct PlatformConfig {
   // default (mode = kNone) disables the layer entirely — the platform
   // behaves bit-for-bit as before it existed.
   StorageConfig storage;
-  // §5.1 name translation at dispatch: rewrite each input/output color
-  // prefix ("c4___x") to the color's routed instance ("w2___x") on an
-  // invocation's first attempt, so the object's cache-ring home (the ring
-  // maps member names to themselves) coincides with where colored routing
-  // sends its readers and writers. Oblivious routing (spray) churns the
-  // color's recorded placement, so its aliases scatter instead — which is
-  // exactly the locality the hint was carrying. Off by default: the DAG
-  // executors already translate at graph-build time, and raw names keep
-  // every pre-existing digest bit-identical.
-  bool translate_object_names = false;
 };
 
 // Why an attempt failed (the retry trace uses the obs-layer RetryReason
@@ -149,6 +139,9 @@ enum class FailureReason {
 struct RoutedTarget {
   InstanceId instance = kInvalidInstanceId;
   std::int32_t router = -1;
+  // True when the tier routes the color through one router view (color
+  // partition), so `instance` is the color's placement; spray is not.
+  bool placement = false;
 };
 
 class FaasPlatform {
@@ -253,12 +246,12 @@ class FaasPlatform {
   Bytes planner_moved_bytes() const { return planner_moved_bytes_; }
   double last_plan_objective() const { return last_plan_objective_; }
 
-  // §5.1 name translation: rewrites a color hash-key prefix to the instance
-  // that color maps to. DAG executors call this on input/output names
-  // before submitting.
-  std::string TranslateObjectName(const std::string& name) {
-    return lb_.TranslateObjectName(name);
-  }
+  // The one answer to "where does color `key` live": the load balancer's
+  // placement (PaletteLoadBalancer::PeekColorId), else the cache ring's
+  // shard. Objects "<key>___<rest>" are stored and read there, hybrid push
+  // binds only to it, and the pull matcher claims against it. nullopt only
+  // when there are no workers.
+  std::optional<InstanceId> ColorHome(std::string_view key) const;
 
   // Seeds an object into backing storage only (size bookkeeping). Objects
   // read but never produced in this run come from storage.
@@ -393,10 +386,10 @@ class FaasPlatform {
     std::uint64_t cold_starts = 0;
   };
 
-  // Routes `attempt` through the LB and dispatches it; on empty membership
-  // falls through to HandleFailure. Used by Invoke (first attempt routed
-  // there) and by retries.
-  void DispatchTo(const AttemptPtr& attempt, InstanceId target);
+  // Dispatches `attempt` to the worker `to` names; a worker that is
+  // gone fails the attempt (HandleFailure). Used by Invoke, InvokeVia and
+  // retries.
+  void DispatchTo(const AttemptPtr& attempt, const RoutedTarget& to);
   // Arms the per-attempt deadline timer if the attempt has one.
   void ArmDeadline(const AttemptPtr& attempt);
   // Deadline timer callback: cancels the attempt (refunding unexecuted CPU
@@ -429,9 +422,11 @@ class FaasPlatform {
     InstanceId home;  // kInvalidInstanceId: unowned (uncolored or homeless)
     bool live;        // false once the queue emptied and left pending_
   };
-  // The worker a color's work belongs to: the LB's placed instance when a
-  // placement exists, the cache ring's home shard otherwise.
-  std::optional<InstanceId> ColorHome(std::string_view key) const;
+  // An object's home: its color's ColorHome, or the cache ring's shard for
+  // a name with no (or an empty) color prefix.
+  std::optional<InstanceId> ObjectHome(std::string_view object_name) const;
+  // True iff color `key` is split and `instance` is in its replica set.
+  bool IsSplitMember(std::string_view key, InstanceId instance) const;
   // Drops cancelled attempts off the head of `queue`; true if it emptied.
   bool PopCancelledHeads(std::deque<AttemptPtr>& queue);
   void EnqueuePending(const AttemptPtr& attempt, bool front);

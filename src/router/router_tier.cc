@@ -183,7 +183,9 @@ std::optional<RoutedTarget> RouterTier::RouteAttempt(
         invocation_id, attempt, router->name, color, InstanceName(*target),
         stale_instance, forwarded, now, now + config_.hop_latency});
   }
-  return RoutedTarget{*target, router->index};
+  return RoutedTarget{*target, router->index,
+                      config_.dispatch == DispatchMode::kColorPartition &&
+                          color.has_value()};
 }
 
 bool RouterTier::CrashRouter(const std::string& router) {

@@ -268,20 +268,24 @@ TEST(HitRatioCurveTest, EmptyTraceIsSafe) {
 TEST(FaastCacheTest, HashKeyExtraction) {
   EXPECT_EQ(FaastCache::HashKeyOf("blue___t42"), "blue");
   EXPECT_EQ(FaastCache::HashKeyOf("plain-name"), "plain-name");
+  // An empty prefix is no color: "___rest" and "___" key by "".
   EXPECT_EQ(FaastCache::HashKeyOf("___x"), "");
+  EXPECT_EQ(FaastCache::HashKeyOf("___"), "");
+  // Several separators split at the first one: the prefix is "a".
   EXPECT_EQ(FaastCache::HashKeyOf("a___b___c"), "a");
 }
 
 TEST(FaastCacheTest, InstanceNamePrefixMakesProducerHome) {
-  // §5.1: with the hashing key set to an instance name, the home location is
+  // §5.1: with the hashing key set to an instance name, the ring home is
   // exactly that instance (ring identity property).
   FaastCache cache;
   cache.AddInstance("w0");
   cache.AddInstance("w1");
   cache.AddInstance("w2");
-  EXPECT_EQ(cache.HomeInstance("w1___task7").value(), "w1");
-  const std::string stored_at = cache.Put("w1", "w1___task7", 100);
-  EXPECT_EQ(stored_at, "w1");
+  EXPECT_EQ(cache.RingHome("w1___task7"), InternInstance("w1"));
+  cache.Put("w0", "w1___task7", 100);
+  EXPECT_TRUE(cache.ContainsLocal("w1", "w1___task7"));
+  EXPECT_FALSE(cache.ContainsLocal("w0", "w1___task7"));
 }
 
 TEST(FaastCacheTest, LocalRemoteMissClassification) {
@@ -430,7 +434,9 @@ TEST(FaastCacheTest, PutReplicatedCountsBytesPerLandedReplica) {
   }
 
   // Home store + two replica copies: three stores, three counted.
-  EXPECT_EQ(cache.PutReplicated("w0", "w0___obj", 100, {"w1", "w2"}), "w0");
+  const InstanceId w0 = InternInstance("w0");
+  cache.PutReplicated(w0, "w0___obj", 100, {"w1", "w2"});
+  EXPECT_TRUE(cache.ContainsLocal("w0", "w0___obj"));
   EXPECT_EQ(cache.put_bytes(), 300u);
   EXPECT_EQ(cache.replicated_bytes(), 200u);
   EXPECT_TRUE(cache.ContainsLocal("w1", "w0___obj"));
@@ -439,11 +445,11 @@ TEST(FaastCacheTest, PutReplicatedCountsBytesPerLandedReplica) {
 
   // A replica naming the home is already covered by the home store: no
   // double count. A dead replica lands nothing and counts nothing.
-  cache.PutReplicated("w0", "w0___dup", 50, {"w0", "w3"});
+  cache.PutReplicated(w0, "w0___dup", 50, {"w0", "w3"});
   EXPECT_EQ(cache.put_bytes(), 300u + 50u + 50u);
   EXPECT_EQ(cache.replicated_bytes(), 200u + 50u);
   cache.RemoveInstance("w3");
-  cache.PutReplicated("w0", "w0___late", 70, {"w3"});
+  cache.PutReplicated(w0, "w0___late", 70, {"w3"});
   EXPECT_EQ(cache.put_bytes(), 400u + 70u);
   EXPECT_EQ(cache.replicated_bytes(), 250u);
 }
@@ -479,60 +485,84 @@ TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
   cache.AddInstance("w1");
 
   // Same "___" prefix -> same hashing key -> same home instance.
-  const auto home_x = cache.HomeInstance("w0___x");
-  const auto home_y = cache.HomeInstance("w0___y");
+  const auto home_x = cache.RingHome("w0___x");
+  const auto home_y = cache.RingHome("w0___y");
   ASSERT_TRUE(home_x.has_value());
   ASSERT_TRUE(home_y.has_value());
   EXPECT_EQ(*home_x, *home_y);
-  EXPECT_EQ(*home_x, "w0");  // ring maps a member name to itself
+  EXPECT_EQ(*home_x, InternInstance("w0"));  // ring maps a member to itself
 
   // Without the token the whole name hashes; byte counters still track a
   // remote hit when the home is not the reader.
   cache.Put("w0", "plain-object", 30);
-  const auto home = cache.HomeInstance("plain-object");
+  const auto home = cache.RingHome("plain-object");
   ASSERT_TRUE(home.has_value());
-  const std::string reader = (*home == "w0") ? "w1" : "w0";
+  const std::string reader = InstanceName(*home) == "w0" ? "w1" : "w0";
   const auto lookup = cache.Get(reader, "plain-object");
   EXPECT_EQ(lookup.outcome, CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 30u);
+}
+
+TEST(FaastCacheTest, IdReadsUseTheNamedShard) {
+  // An instance is readable by id and by name; both reads see one shard and
+  // one set of counters.
+  const InstanceId a = InternInstance("fc-id-a");
+  const InstanceId b = InternInstance("fc-id-b");
+  FaastCache cache;
+  cache.AddInstance("fc-id-a");
+  cache.AddInstance("fc-id-b");
+  cache.Put("fc-id-a", "fc-id-a___obj", 100);
+  const auto ring_home = [&](const std::string& name) {
+    return [&cache, name] { return cache.RingHome(name); };
+  };
+
+  // A local hit never asks for the home.
+  const CacheLookup by_id =
+      cache.Get(a, "fc-id-a___obj", []() -> std::optional<InstanceId> {
+        ADD_FAILURE() << "home resolved on a local hit";
+        return std::nullopt;
+      });
+  EXPECT_EQ(by_id.outcome, CacheOutcome::kLocalHit);
+  EXPECT_EQ(by_id.owner, "fc-id-a");
+  EXPECT_EQ(by_id.size, 100u);
+  const CacheLookup remote =
+      cache.Get(b, "fc-id-a___obj", ring_home("fc-id-a___obj"));
+  EXPECT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
+  EXPECT_EQ(remote.owner, "fc-id-a");
+  EXPECT_EQ(cache.Get("fc-id-b", "fc-id-a___obj").outcome,
+            CacheOutcome::kRemoteHit);
+  EXPECT_EQ(cache.Get(b, "fc-id-b___none", ring_home("fc-id-b___none")).outcome,
+            CacheOutcome::kMiss);
+  EXPECT_EQ(cache.local_hits(), 1u);
+  EXPECT_EQ(cache.remote_hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // The caller's home, not the ring, decides where a write lands and where
+  // a local miss looks: an object the ring would home on a, stored at b.
+  cache.Put(b, "fc-id-a___placed", 30);
+  EXPECT_TRUE(cache.ContainsLocal("fc-id-b", "fc-id-a___placed"));
+  EXPECT_FALSE(cache.ContainsLocal("fc-id-a", "fc-id-a___placed"));
+  EXPECT_EQ(cache.Get(a, "fc-id-a___placed", [b] {
+                       return std::optional<InstanceId>(b);
+                     }).owner,
+            "fc-id-b");
+  EXPECT_EQ(cache.Get("fc-id-a", "fc-id-a___placed").outcome,
+            CacheOutcome::kMiss);
+
+  // A removed and re-added instance reads from its fresh (empty) shard.
+  cache.RemoveInstance("fc-id-a");
+  cache.AddInstance("fc-id-a");
+  EXPECT_EQ(cache.Get(a, "fc-id-a___obj", ring_home("fc-id-a___obj")).outcome,
+            CacheOutcome::kMiss);
+  cache.PutLocal("fc-id-a", "fc-id-a___obj", 7);
+  EXPECT_EQ(cache.Get(a, "fc-id-a___obj", ring_home("fc-id-a___obj")).size,
+            7u);
 }
 
 // The per-shard hashing-key index (KeyBytes, HasKeyObject) must agree with
 // a brute-force scan of the shard after every kind of shard change,
 // including LRU evictions, size refreshes, rejected puts and membership
 // churn.
-TEST(FaastCacheTest, IdReadsUseTheNamedShard) {
-  // An instance added with its interned id is readable by id and by name;
-  // both reads see one shard and one set of counters.
-  const InstanceId a = InternInstance("fc-id-a");
-  const InstanceId b = InternInstance("fc-id-b");
-  FaastCache cache;
-  cache.AddInstance("fc-id-a", a);
-  cache.AddInstance("fc-id-b", b);
-  cache.Put("fc-id-a", "fc-id-a___obj", 100);
-
-  const CacheLookup by_id = cache.Get(a, "fc-id-a___obj");
-  EXPECT_EQ(by_id.outcome, CacheOutcome::kLocalHit);
-  EXPECT_EQ(by_id.owner, "fc-id-a");
-  EXPECT_EQ(by_id.size, 100u);
-  const CacheLookup remote = cache.Get(b, "fc-id-a___obj");
-  EXPECT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
-  EXPECT_EQ(remote.owner, "fc-id-a");
-  EXPECT_EQ(cache.Get("fc-id-b", "fc-id-a___obj").outcome,
-            CacheOutcome::kRemoteHit);
-  EXPECT_EQ(cache.Get(b, "fc-id-b___none").outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(cache.local_hits(), 1u);
-  EXPECT_EQ(cache.remote_hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // A removed and re-added instance reads from its fresh (empty) shard.
-  cache.RemoveInstance("fc-id-a");
-  cache.AddInstance("fc-id-a", a);
-  EXPECT_EQ(cache.Get(a, "fc-id-a___obj").outcome, CacheOutcome::kMiss);
-  cache.PutLocal("fc-id-a", "fc-id-a___obj", 7);
-  EXPECT_EQ(cache.Get(a, "fc-id-a___obj").size, 7u);
-}
-
 TEST(FaastCacheTest, KeyIndexMatchesBruteForceScanUnderRandomOps) {
   FaastCacheConfig config;
   config.per_instance_capacity = 300;  // small: evictions are frequent
@@ -587,7 +617,7 @@ TEST(FaastCacheTest, KeyIndexMatchesBruteForceScanUnderRandomOps) {
         cache.Put(instance, name, size());
         break;
       case 1:
-        cache.PutReplicated(instance, name, size(),
+        cache.PutReplicated(*cache.RingHome(name), name, size(),
                             {pick(instances), pick(instances), "w9"});
         break;
       case 2:

@@ -367,54 +367,6 @@ TEST(PaletteLoadBalancerTest, NoInstancesRoutesNowhere) {
   EXPECT_EQ(lb.total_routed(), 0u);
 }
 
-TEST(PaletteLoadBalancerTest, TranslateObjectNameRewritesColorPrefix) {
-  PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
-  const auto instance = lb.ResolveColor("blue");
-  ASSERT_TRUE(instance.has_value());
-  EXPECT_EQ(lb.TranslateObjectName("blue___task3"), *instance + "___task3");
-  // Names without the token pass through unchanged.
-  EXPECT_EQ(lb.TranslateObjectName("plain"), "plain");
-}
-
-TEST(PaletteLoadBalancerTest, TranslationStableAcrossCalls) {
-  PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
-  const std::string first = lb.TranslateObjectName("red___o");
-  const std::string second = lb.TranslateObjectName("red___o");
-  EXPECT_EQ(first, second);
-}
-
-TEST(PaletteLoadBalancerTest, TranslateEmptyPrefixPassesThrough) {
-  PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  // "___rest" has an empty color prefix: not a hint. It must pass through
-  // untranslated, and resolving it must not fabricate an empty-color
-  // mapping in the policy's table.
-  EXPECT_EQ(lb.TranslateObjectName("___rest"), "___rest");
-  EXPECT_EQ(lb.TranslateObjectName("___"), "___");
-}
-
-TEST(PaletteLoadBalancerTest, TranslateSplitsAtFirstSeparatorOnly) {
-  PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
-  // "a___b___c" splits at the first token: prefix "a", rest "___b___c"
-  // carried through verbatim.
-  const auto instance = lb.ResolveColor("a");
-  ASSERT_TRUE(instance.has_value());
-  EXPECT_EQ(lb.TranslateObjectName("a___b___c"), *instance + "___b___c");
-}
-
-TEST(PaletteLoadBalancerTest, TranslateWithNoInstancesPassesThrough) {
-  PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  // The prefix resolves to no instance (empty membership): the name stays
-  // as-is so the cache hashes it by its raw prefix.
-  EXPECT_EQ(lb.TranslateObjectName("blue___obj"), "blue___obj");
-}
-
 TEST(PaletteLoadBalancerTest, RemoveAndReAddInstanceResetsRoutingCounts) {
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
   lb.AddInstance("w0");

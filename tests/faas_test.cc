@@ -93,8 +93,7 @@ TEST(FaasPlatformTest, PaletteOutputIsLocalNextReadIsLocalHit) {
   producer.function = "produce";
   producer.color = "blue";
   producer.cpu_ops = 1e6;
-  producer.outputs.push_back(
-      ObjectRef{platform.TranslateObjectName("blue___obj"), kMiB});
+  producer.outputs.push_back(ObjectRef{"blue___obj", kMiB});
   bool produced = false;
   platform.Invoke(std::move(producer), [&](const InvocationResult&) {
     produced = true;
@@ -102,8 +101,7 @@ TEST(FaasPlatformTest, PaletteOutputIsLocalNextReadIsLocalHit) {
     consumer.function = "consume";
     consumer.color = "blue";
     consumer.cpu_ops = 1e6;
-    consumer.inputs.push_back(
-        ObjectRef{platform.TranslateObjectName("blue___obj"), kMiB});
+    consumer.inputs.push_back(ObjectRef{"blue___obj", kMiB});
     platform.Invoke(std::move(consumer), [&](const InvocationResult& r) {
       EXPECT_EQ(r.local_hits, 1);
       EXPECT_EQ(r.remote_hits, 0);
@@ -125,16 +123,14 @@ TEST(FaasPlatformTest, DifferentColorsCauseRemoteHit) {
   producer.function = "produce";
   producer.color = "red";
   producer.cpu_ops = 1e6;
-  producer.outputs.push_back(
-      ObjectRef{platform.TranslateObjectName("red___obj"), kMiB});
+  producer.outputs.push_back(ObjectRef{"red___obj", kMiB});
   int remote_hits = 0;
   platform.Invoke(std::move(producer), [&](const InvocationResult&) {
     InvocationSpec consumer;
     consumer.function = "consume";
     consumer.color = "green";  // LA assigns a different instance
     consumer.cpu_ops = 1e6;
-    consumer.inputs.push_back(
-        ObjectRef{platform.TranslateObjectName("red___obj"), kMiB});
+    consumer.inputs.push_back(ObjectRef{"red___obj", kMiB});
     platform.Invoke(std::move(consumer), [&](const InvocationResult& r) {
       remote_hits = r.remote_hits;
       EXPECT_GT(r.network_bytes, 0u);
@@ -187,8 +183,7 @@ TEST(FaasPlatformTest, SerializationTaxExtendsCompute) {
   spec.function = "f";
   spec.color = "c";
   spec.cpu_ops = 0;
-  spec.outputs.push_back(
-      ObjectRef{platform.TranslateObjectName("c___big"), 500'000'000});
+  spec.outputs.push_back(ObjectRef{"c___big", 500'000'000});
   InvocationResult result;
   platform.Invoke(std::move(spec),
                   [&](const InvocationResult& r) { result = r; });

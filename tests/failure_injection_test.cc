@@ -71,8 +71,7 @@ TEST(FailureInjectionTest, LostCacheStateBecomesMissesNotErrors) {
   producer.function = "produce";
   producer.color = "blue";
   producer.cpu_ops = 1e6;
-  producer.outputs.push_back(
-      ObjectRef{platform.TranslateObjectName("blue___data"), 4 * kMiB});
+  producer.outputs.push_back(ObjectRef{"blue___data", 4 * kMiB});
   std::string producer_instance;
   platform.Invoke(std::move(producer), [&](const InvocationResult& r) {
     producer_instance = r.instance;
@@ -89,8 +88,7 @@ TEST(FailureInjectionTest, LostCacheStateBecomesMissesNotErrors) {
   consumer.function = "consume";
   consumer.color = "blue";
   consumer.cpu_ops = 1e6;
-  consumer.inputs.push_back(
-      ObjectRef{platform.TranslateObjectName("blue___data"), 4 * kMiB});
+  consumer.inputs.push_back(ObjectRef{"blue___data", 4 * kMiB});
   InvocationResult result;
   bool done = false;
   platform.Invoke(std::move(consumer), [&](const InvocationResult& r) {

@@ -267,13 +267,9 @@ TEST(PlatformObservabilityTest, RecordsOneTracePerInvocation) {
     spec.color = StrFormat("c%d", i % 4);
     spec.cpu_ops = 1e6;
     spec.inputs.push_back(
-        ObjectRef{platform.TranslateObjectName(
-                      StrFormat("c%d___in%d", i % 4, i)),
-                  1 * kMiB});
+        ObjectRef{StrFormat("c%d___in%d", i % 4, i), 1 * kMiB});
     spec.outputs.push_back(
-        ObjectRef{platform.TranslateObjectName(
-                      StrFormat("c%d___out%d", i % 4, i)),
-                  1 * kMiB});
+        ObjectRef{StrFormat("c%d___out%d", i % 4, i), 1 * kMiB});
     platform.Invoke(std::move(spec),
                     [&](const InvocationResult&) { ++completed; });
   }
@@ -317,9 +313,7 @@ TEST(PlatformObservabilityTest, ExportMetricsSnapshotsAllLayers) {
     spec.color = StrFormat("c%d", i % 2);
     spec.cpu_ops = 1e6;
     spec.outputs.push_back(
-        ObjectRef{platform.TranslateObjectName(
-                      StrFormat("c%d___o%d", i % 2, i)),
-                  64 * 1024});
+        ObjectRef{StrFormat("c%d___o%d", i % 2, i), 64 * 1024});
     platform.Invoke(std::move(spec),
                     [&](const InvocationResult&) { ++completed; });
   }

@@ -794,8 +794,8 @@ TEST(PaletteLoadBalancerPlanTest, SplitMergeRoundTripOnLoadBalancer) {
     targets.insert(*lb.RouteId(Color("viral")));
   }
   EXPECT_EQ(targets.size(), 3u);  // exact weighted round-robin
-  // Object names translate to the split primary, not the rotating member.
-  EXPECT_EQ(lb.ResolveColor(Color("viral")), "w0");
+  // The color's objects home at the split primary, not the rotating member.
+  EXPECT_EQ(lb.PeekColorId("viral"), InternInstance("w0"));
 
   Plan merge_plan;
   merge_plan.merges.push_back(PlanMerge{"viral", InternInstance("w3")});
@@ -931,9 +931,9 @@ TEST(PlannerWorkloadTest, AllFeaturesShapedRunPinsPlannerInputs) {
                         platform, nullptr, nullptr, &planner);
   EXPECT_EQ(run.planner_rounds, 15u);
   EXPECT_GT(run.storage.flushes, 0u);
-  EXPECT_EQ(run.samples_digest, 14331247114875850663u);
-  EXPECT_EQ(run.planner_moves, 123u);
-  EXPECT_EQ(run.planner_moved_bytes, 17399566u);
+  EXPECT_EQ(run.samples_digest, 1171358272365275661u);
+  EXPECT_EQ(run.planner_moves, 62u);
+  EXPECT_EQ(run.planner_moved_bytes, 28555619u);
 }
 
 TEST(PlannerShardedTest, DigestsMatchAcrossShardCountsWithPlanning) {

@@ -45,33 +45,23 @@ InvocationSpec Colored(const std::string& color, double cpu_ops) {
   return spec;
 }
 
-// Finds a color whose cache-ring home AND load-balancer placement both
-// land on `want` once both workers are live, so the other worker is
-// unambiguously foreign for it. Placement is forced by running one
-// warm-up invocation while `want` is the only worker.
+// Places a color on `want` by running one warm-up invocation while `want`
+// is the only worker, then adds `other`: the color's home stays on `want`,
+// so `other` is unambiguously foreign for it.
 std::string ForeignProofColor(Simulator* sim, FaasPlatform* platform,
                               const std::string& want,
                               const std::string& other) {
-  for (int i = 0; i < 64; ++i) {
-    const std::string color = StrFormat("pin%d", i);
-    if (platform->cache().HomeInstance(color) == want) {
-      bool done = false;
-      platform->Invoke(Colored(color, 1e3),
-                       [&](const InvocationResult& r) {
-                         done = true;
-                         EXPECT_EQ(r.instance, want);
-                       });
-      sim->Run();
-      EXPECT_TRUE(done);
-      platform->AddWorker(other);
-      if (platform->cache().HomeInstance(color) == want) {
-        return color;
-      }
-      platform->RemoveWorker(other);
-    }
-  }
-  ADD_FAILURE() << "no color homed on " << want << " found";
-  return "";
+  const std::string color = "pin0";
+  bool done = false;
+  platform->Invoke(Colored(color, 1e3), [&](const InvocationResult& r) {
+    done = true;
+    EXPECT_EQ(r.instance, want);
+  });
+  sim->Run();
+  EXPECT_TRUE(done);
+  platform->AddWorker(other);
+  EXPECT_EQ(platform->ColorHome(color), InternInstance(want));
+  return color;
 }
 
 TEST(FaasDispatchModeTest, ParseAndFormat) {

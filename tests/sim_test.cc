@@ -431,7 +431,7 @@ TEST(ShardedWorkloadTest, EverythingOnCellPinnedAcrossShardCounts) {
   // Faults plus hybrid dispatch, write-back storage, the planner and
   // spraying group routers: every optional layer inside the groups.
   ExpectPinnedAndShardInvariant(ShardedCell::kEverythingOn,
-                                0xd4d04131b9c24132ULL);
+                                0x403338d724fa3499ULL);
 }
 
 TEST(ShardedWorkloadTest, SampleBookFollowsTheDriverStopRule) {

@@ -354,10 +354,9 @@ InvocationSpec ColoredWrite(const std::string& color,
   return spec;
 }
 
-TEST(PlatformStorageTest, TranslateObjectNamesRewritesToRoutedInstance) {
+TEST(PlatformStorageTest, ColoredOutputHomesAtRoutedInstanceUnderItsName) {
   Simulator sim;
   PlatformConfig config;
-  config.translate_object_names = true;
   config.storage.mode = CoherenceMode::kWriteThrough;
   FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
   platform.AddWorker("w0");
@@ -369,11 +368,12 @@ TEST(PlatformStorageTest, TranslateObjectNamesRewritesToRoutedInstance) {
                   });
   sim.Run();
   ASSERT_TRUE(done);
-  // §5.1: the color prefix was rewritten to the routed instance, so the
-  // object homes exactly where it was produced; the raw name never lands.
-  EXPECT_TRUE(platform.cache().ContainsLocal("w0", "w0___obj"));
-  EXPECT_FALSE(platform.cache().ContainsLocal("w0", "c___obj"));
-  EXPECT_EQ(platform.storage_layer()->VersionOf("w0___obj"), 1u);
+  // The object homes exactly where its color ran, and storage versions it
+  // under the same name.
+  EXPECT_EQ(platform.ColorHome("c"), InternInstance("w0"));
+  EXPECT_TRUE(platform.cache().ContainsLocal("w0", "c___obj"));
+  EXPECT_EQ(platform.storage_layer()->VersionOf("c___obj"), 1u);
+  EXPECT_EQ(platform.storage_layer()->VersionOf("w0___obj"), 0u);
 }
 
 TEST(PlatformStorageTest, TranslationOffKeepsRawNames) {
@@ -394,7 +394,6 @@ TEST(PlatformStorageTest, TranslationOffKeepsRawNames) {
 TEST(PlatformStorageTest, WriteThroughBooksCloseAcrossInvocations) {
   Simulator sim;
   PlatformConfig config;
-  config.translate_object_names = true;
   config.storage.mode = CoherenceMode::kWriteThrough;
   FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
   platform.AddWorkers(4);
@@ -420,7 +419,6 @@ PlatformConfig StoragePlatform(CoherenceMode mode) {
   config.storage.mode = mode;
   config.storage.max_dirty_age = SimTime::FromMillis(200);
   config.storage.staleness_bound = SimTime::FromMillis(100);
-  config.translate_object_names = true;
   return config;
 }
 
