@@ -7,11 +7,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
+#include "src/common/json_writer.h"
 #include "src/dag/dag_executor.h"
 #include "src/dag/serverful_scheduler.h"
 #include "src/obs/trace.h"
+#include "src/workload/spec.h"
 
 namespace palette {
 
@@ -115,6 +118,59 @@ inline DagRunConfig MakeDagRun(PolicyKind policy, ColoringKind coloring,
   config.seed = seed;
   config.platform = platform;
   return config;
+}
+
+// ---------------------------------------------------------------------------
+// Shard-invariance cell (docs/PERF.md, "Parallel engine"): runs `scenario`
+// on 1 and 4 threads and appends each run, in the result schema, to a JSON
+// array under `key`. Returns false (after printing why) unless the two runs
+// agree in every result key but the wall time, their books close, and
+// `check` (when given) accepts each run; `check` may append bench-specific
+// keys to the run's object.
+// ---------------------------------------------------------------------------
+
+using ShardCellCheck =
+    std::function<bool(const ScenarioResult& run, JsonWriter* json)>;
+
+inline bool RunShardInvariantCell(Scenario scenario, const char* key,
+                                  JsonWriter* json,
+                                  const ShardCellCheck& check = nullptr) {
+  json->Key(key);
+  json->BeginArray();
+  bool ok = true;
+  std::string first;
+  for (const int shards : {1, 4}) {
+    scenario.shards = shards;
+    ScenarioResult run = RunScenario(scenario);
+    json->BeginObject();
+    json->Key("shards");
+    json->Int(shards);
+    AppendScenarioResultJson(scenario, run, json);
+    if (check && !check(run, json)) {
+      ok = false;
+    }
+    json->EndObject();
+    if (!run.books_close) {
+      std::fprintf(stderr, "FAIL: %s: books do not close (shards=%d)\n", key,
+                   shards);
+      ok = false;
+    }
+    // Everything the run reports but its wall time must match.
+    run.wall_seconds = 0;
+    JsonWriter figures;
+    figures.BeginObject();
+    AppendScenarioResultJson(scenario, run, &figures);
+    figures.EndObject();
+    if (first.empty()) {
+      first = figures.str();
+    } else if (figures.str() != first) {
+      std::fprintf(stderr, "FAIL: %s: run diverged at --shards=%d\n", key,
+                   shards);
+      ok = false;
+    }
+  }
+  json->EndArray();
+  return ok;
 }
 
 }  // namespace palette

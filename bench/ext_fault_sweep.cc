@@ -27,12 +27,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/core/policy_factory.h"
 #include "src/obs/alerts.h"
 #include "src/workload/fault_schedule.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -73,6 +73,20 @@ FaultSchedule SweepFaults(const WorkloadSpec& spec) {
   return FaultSchedule::FromMtbf(mtbf, workers, spec.seed ^ 0xFA117ULL);
 }
 
+// One cell: `policy` on the sweep's cluster with every fault of `faults`.
+Scenario CellScenario(const WorkloadSpec& spec, PolicyKind policy,
+                      const SloConfig& slo, const PlatformConfig& config,
+                      const FaultSchedule& faults) {
+  Scenario scenario;
+  scenario.spec = spec;
+  scenario.policy = policy;
+  scenario.workers = kWorkers;
+  scenario.slo = slo;
+  scenario.platform = config;
+  scenario.faults = GroupFaults(faults, 0);
+  return scenario;
+}
+
 // Alert cell (docs/OBSERVABILITY.md): one group-scoped crash/restart
 // replayed on the sharded engine with the telemetry sampler on, watched
 // through the alert engine. The crash must FIRE the recolor alert (the
@@ -84,14 +98,20 @@ FaultSchedule SweepFaults(const WorkloadSpec& spec) {
 // open JSON writer; returns false (and the bench exits non-zero) if any
 // of those invariants break.
 bool RunAlertCell(JsonWriter* json) {
-  WorkloadSpec spec = SweepSpec();
-  spec.driver.duration = SimTime::FromSeconds(10);
+  Scenario scenario;
+  scenario.spec = SweepSpec();
+  scenario.spec.driver.duration = SimTime::FromSeconds(10);
+  // Bucket hashing re-colors on membership change in both directions: the
+  // crash re-homes the dead workers' colors onto the survivor, and the
+  // restart spreads them back — so the latency episode actually ends
+  // (failure-aware-only policies leave the colors piled on the survivor
+  // and the saturation never recovers).
+  scenario.policy = PolicyKind::kBucketHashing;
+  scenario.workers = kWorkers;
+  scenario.slo.deadline = SimTime::FromMillis(kDeadlineMs);
+  scenario.slo.warmup = SimTime::FromSeconds(2);
 
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(kDeadlineMs);
-  slo.warmup = SimTime::FromSeconds(2);
-
-  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  PlatformConfig& config = scenario.platform;
   config.cache.per_instance_capacity = 32 * kMiB;
   config.default_deadline = SimTime::FromSeconds(1);
   config.retry.max_attempts = 4;
@@ -102,16 +122,14 @@ bool RunAlertCell(JsonWriter* json) {
   // Two groups of four workers: the merged cluster p99 is the count-
   // weighted mean of the per-group quantiles, so a small group count
   // keeps a one-group episode visible after the fold.
-  ShardedWorkloadConfig sharded;
-  sharded.groups = 2;
-  sharded.routers_per_group = 0;
-  sharded.obs.sample_every = SimTime::FromMillis(250);
+  scenario.groups = 2;
+  scenario.obs.sample_every = SimTime::FromMillis(250);
   std::vector<std::string> errors;
-  sharded.obs.alert_rules = ParseAlertRules(
+  scenario.obs.alert_rules = ParseAlertRules(
       "recolor=lb.recolored.rate>0:1:4;"
       "p99_spike=faas.latency.end_to_end_ns.p99>25ms:2:4",
       &errors);
-  if (!errors.empty() || sharded.obs.alert_rules.size() != 2) {
+  if (!errors.empty() || scenario.obs.alert_rules.size() != 2) {
     std::fprintf(stderr, "FAIL: alert-cell rules did not parse\n");
     return false;
   }
@@ -120,83 +138,58 @@ bool RunAlertCell(JsonWriter* json) {
   // later: the group's colors re-home onto the survivor (recolor FIRE)
   // and the survivor saturates — half the cluster's traffic on one
   // worker — until the restarts land and the queue drains (CLEAR).
-  std::vector<ShardedFault> faults;
   for (int w = 0; w < 3; ++w) {
-    faults.push_back({1,
-                      {SimTime::FromSeconds(4), FaultKind::kCrash,
-                       StrFormat("g1w%d", w)}});
-    faults.push_back({1,
-                      {SimTime::FromSeconds(6), FaultKind::kRestart,
-                       StrFormat("g1w%d", w)}});
+    scenario.faults.push_back({1,
+                               {SimTime::FromSeconds(4), FaultKind::kCrash,
+                                StrFormat("g1w%d", w)}});
+    scenario.faults.push_back({1,
+                               {SimTime::FromSeconds(6), FaultKind::kRestart,
+                                StrFormat("g1w%d", w)}});
   }
 
   json->Key("alert_cell");
   json->BeginObject();
   json->Key("rules");
   json->BeginArray();
-  for (const AlertRule& rule : sharded.obs.alert_rules) {
+  for (const AlertRule& rule : scenario.obs.alert_rules) {
     json->String(rule.name);
   }
   json->EndArray();
-  json->Key("runs");
-  json->BeginArray();
 
-  bool ok = true;
-  bool log_identical = true;
-  std::string first_log;
-  for (const int shards : {1, 4}) {
-    sharded.shards = shards;
-    // Bucket hashing re-colors on membership change in both directions:
-    // the crash re-homes the dead workers' colors onto the survivor, and
-    // the restart spreads them back — so the latency episode actually
-    // ends (failure-aware-only policies leave the colors piled on the
-    // survivor and the saturation never recovers).
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kBucketHashing, kWorkers,
-                           sharded, slo, config, &faults);
-    if (run.telemetry.alerts == nullptr) {
-      std::fprintf(stderr, "FAIL: alert cell ran without telemetry\n");
-      return false;
-    }
-    const AlertEngine& alerts = *run.telemetry.alerts;
-    const std::string log = alerts.ToLogLines();
-    if (shards == 1) {
-      first_log = log;
-      std::printf("alert log (crash at 4s, restart at 6s):\n%s", log.c_str());
-    } else if (log != first_log) {
-      std::fprintf(stderr,
-                   "FAIL: alert log differs between --shards 1 and %d\n",
-                   shards);
-      log_identical = false;
-      ok = false;
-    }
-    // Every rule must fire on the crash and clear after the restart.
-    const std::uint64_t rules = sharded.obs.alert_rules.size();
-    if (alerts.fired_count() < rules ||
-        alerts.cleared_count() != alerts.fired_count() ||
-        !alerts.ActiveAlerts().empty()) {
-      std::fprintf(stderr,
-                   "FAIL: shards=%d: expected every alert to fire and "
-                   "clear (fired=%llu cleared=%llu active=%zu)\n",
-                   shards, (unsigned long long)alerts.fired_count(),
-                   (unsigned long long)alerts.cleared_count(),
-                   alerts.ActiveAlerts().size());
-      ok = false;
-    }
-    json->BeginObject();
-    json->Key("shards");
-    json->Int(shards);
-    json->Key("samples_digest");
-    json->UInt(run.samples_digest);
-    json->Key("engine_digest");
-    json->UInt(run.engine_digest);
-    json->Key("books_close");
-    json->Bool(run.books_close);
-    alerts.AppendJson(json);
-    json->EndObject();
-    ok = ok && run.books_close;
-  }
-  json->EndArray();
+  std::vector<std::string> logs;
+  const std::uint64_t rules = scenario.obs.alert_rules.size();
+  bool ok = RunShardInvariantCell(
+      scenario, "runs", json,
+      [&](const ScenarioResult& run, JsonWriter* out) {
+        if (run.telemetry.alerts == nullptr) {
+          std::fprintf(stderr, "FAIL: alert cell ran without telemetry\n");
+          return false;
+        }
+        const AlertEngine& alerts = *run.telemetry.alerts;
+        logs.push_back(alerts.ToLogLines());
+        if (logs.size() == 1) {
+          std::printf("alert log (crash at 4s, restart at 6s):\n%s",
+                      logs.front().c_str());
+        }
+        out->Key("books_close");
+        out->Bool(run.books_close);
+        alerts.AppendJson(out);
+        // Every rule must fire on the crash and clear after the restart.
+        if (alerts.fired_count() < rules ||
+            alerts.cleared_count() != alerts.fired_count() ||
+            !alerts.ActiveAlerts().empty()) {
+          std::fprintf(stderr,
+                       "FAIL: expected every alert to fire and clear "
+                       "(fired=%llu cleared=%llu active=%zu)\n",
+                       (unsigned long long)alerts.fired_count(),
+                       (unsigned long long)alerts.cleared_count(),
+                       alerts.ActiveAlerts().size());
+          return false;
+        }
+        return true;
+      });
+  const bool log_identical = logs.size() == 2 && logs[0] == logs[1];
+  ok = ok && log_identical;
   json->Key("log_identical_across_shards");
   json->Bool(log_identical);
   json->Key("ok");
@@ -220,12 +213,12 @@ bool RunAlertCell(JsonWriter* json) {
 bool RunPlannerChurnCell(const WorkloadSpec& spec, const FaultSchedule& faults,
                          const SloConfig& slo, const PlatformConfig& config,
                          JsonWriter* json) {
-  PlannerConfig planner;
+  Scenario scenario =
+      CellScenario(spec, PolicyKind::kLeastAssigned, slo, config, faults);
+  PlannerConfig& planner = scenario.planner;
   planner.plan_every = SimTime::FromMillis(500);
   planner.seed = spec.seed;
-  const WorkloadRunResult run = RunWorkload(
-      spec, PolicyKind::kLeastAssigned, kWorkers, slo, config, &faults,
-      nullptr, &planner);
+  const ScenarioResult run = RunScenario(scenario);
   const bool closes =
       run.platform_submitted == run.platform_completed +
                                     run.platform_dropped +
@@ -364,8 +357,8 @@ void Run() {
   for (const PolicyKind policy : policies) {
     for (const bool retries_on : {false, true}) {
       const PlatformConfig& config = retries_on ? retry_config : base_config;
-      const WorkloadRunResult run =
-          RunWorkload(spec, policy, kWorkers, slo, config, &faults);
+      const ScenarioResult run =
+          RunScenario(CellScenario(spec, policy, slo, config, faults));
       const bool closes =
           run.platform_submitted == run.platform_completed +
                                         run.platform_dropped +

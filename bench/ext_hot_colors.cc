@@ -29,10 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/core/policy_factory.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -65,26 +65,32 @@ PlannerConfig BenchPlanner() {
   return planner;
 }
 
+Scenario SkewScenario(double zipf_s, PolicyKind policy) {
+  Scenario scenario;
+  scenario.spec = SkewSpec(zipf_s);
+  scenario.policy = policy;
+  scenario.workers = kWorkers;
+  scenario.slo.deadline = SimTime::FromMillis(kDeadlineMs);
+  scenario.slo.warmup = SimTime::FromSeconds(2);
+  return scenario;
+}
+
 struct Cell {
   std::string label;
-  WorkloadRunResult run;
+  ScenarioResult run;
   bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, double zipf_s, PolicyKind policy,
              const PlannerConfig* planner) {
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(kDeadlineMs);
-  slo.warmup = SimTime::FromSeconds(2);
+  Scenario scenario = SkewScenario(zipf_s, policy);
+  if (planner != nullptr) {
+    scenario.planner = *planner;
+  }
   Cell cell;
   cell.label = label;
-  cell.run = RunWorkload(SkewSpec(zipf_s), policy, kWorkers, slo,
-                         DefaultWorkloadPlatformConfig(), nullptr, nullptr,
-                         planner);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.run = RunScenario(scenario);
+  cell.books_close = cell.run.books_close;
   return cell;
 }
 
@@ -117,67 +123,22 @@ void AppendCellJson(double zipf_s, const Cell& cell, JsonWriter* json) {
   json->EndObject();
 }
 
-// Sharded-engine determinism cell: with planning on, digests and planner
-// counters must be identical for every shard count.
+// Worker-group determinism cell: with planning on, every figure must be
+// identical for every shard count.
 bool RunShardedCell(JsonWriter* json) {
-  ShardedWorkloadConfig config;
-  config.groups = 4;
-  config.routers_per_group = 2;
-  config.planner = BenchPlanner();
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(kDeadlineMs);
-  slo.warmup = SimTime::FromSeconds(2);
-  const WorkloadSpec spec = SkewSpec(1.3);
-
-  json->Key("sharded_cells");
-  json->BeginArray();
-  bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0, first_moves = 0;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, DefaultWorkloadPlatformConfig());
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_moves = run.planner_moves;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               run.planner_moves != first_moves) {
-      std::fprintf(stderr,
-                   "FAIL: sharded planner run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
-      ok = false;
-    }
-    if (run.planner_rounds == 0) {
-      std::fprintf(stderr, "FAIL: sharded planner never ran\n");
-      ok = false;
-    }
-    json->BeginObject();
-    json->Key("shards");
-    json->Int(shards);
-    json->Key("samples_digest");
-    json->UInt(run.samples_digest);
-    json->Key("engine_digest");
-    json->UInt(run.engine_digest);
-    json->Key("planner_rounds");
-    json->UInt(run.planner_rounds);
-    json->Key("planner_moves");
-    json->UInt(run.planner_moves);
-    json->Key("planner_splits");
-    json->UInt(run.planner_splits);
-    json->Key("books_close");
-    json->Bool(run.books_close);
-    json->EndObject();
-  }
-  json->EndArray();
-  return ok;
+  Scenario scenario = SkewScenario(1.3, PolicyKind::kLeastAssigned);
+  scenario.groups = 4;
+  scenario.tier.routers = 2;
+  scenario.planner = BenchPlanner();
+  return RunShardInvariantCell(
+      scenario, "sharded_cells", json,
+      [](const ScenarioResult& run, JsonWriter*) {
+        if (run.planner_rounds == 0) {
+          std::fprintf(stderr, "FAIL: sharded planner never ran\n");
+          return false;
+        }
+        return true;
+      });
 }
 
 void Run() {

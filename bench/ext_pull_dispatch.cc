@@ -36,11 +36,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/router/router_tier.h"
 #include "src/workload/fault_schedule.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -63,32 +63,35 @@ WorkloadSpec BurstSpec(ArrivalKind arrival) {
   return spec;
 }
 
+Scenario BurstScenario(ArrivalKind arrival, FaasDispatchMode mode) {
+  Scenario scenario;
+  scenario.spec = BurstSpec(arrival);
+  scenario.workers = kWorkers;
+  scenario.slo.deadline = SimTime::FromMillis(250);
+  scenario.slo.warmup = SimTime::FromSeconds(2);
+  scenario.platform.dispatch_mode = mode;
+  return scenario;
+}
+
 struct Cell {
   std::string label;
-  WorkloadRunResult run;
+  ScenarioResult run;
   bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, ArrivalKind arrival, int routers,
              DispatchMode dispatch, FaasDispatchMode mode,
              const FaultSchedule* faults) {
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(250);
-  slo.warmup = SimTime::FromSeconds(2);
-  RouterTierConfig tier_config;
-  tier_config.routers = routers;
-  tier_config.dispatch = dispatch;
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.dispatch_mode = mode;
+  Scenario scenario = BurstScenario(arrival, mode);
+  scenario.tier.routers = routers;
+  scenario.tier.dispatch = dispatch;
+  if (faults != nullptr) {
+    scenario.faults = GroupFaults(*faults, 0);
+  }
   Cell cell;
   cell.label = label;
-  cell.run = RunRouterWorkload(BurstSpec(arrival), PolicyKind::kLeastAssigned,
-                               kWorkers, tier_config, slo, platform_config,
-                               faults);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.run = RunScenario(scenario);
+  cell.books_close = cell.run.books_close;
   return cell;
 }
 
@@ -118,73 +121,23 @@ void AppendCellJson(std::string_view arrival, const Cell& cell,
   json->EndObject();
 }
 
-// Sharded-engine determinism cell: with pull dispatch on, digests and the
-// pull counters must be identical for every shard count.
+// Worker-group determinism cell: with pull dispatch on, every figure
+// (the pull and steal counters among them) must be identical for every
+// shard count.
 bool RunShardedCell(JsonWriter* json) {
-  ShardedWorkloadConfig config;
-  config.groups = 4;
-  config.routers_per_group = 2;
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(250);
-  slo.warmup = SimTime::FromSeconds(2);
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.dispatch_mode = FaasDispatchMode::kPull;
-  const WorkloadSpec spec = BurstSpec(ArrivalKind::kMmpp);
-
-  json->Key("sharded_cells");
-  json->BeginArray();
-  bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0;
-  std::uint64_t first_pulls = 0, first_steals = 0;
-  Bytes first_steal_bytes = 0;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, platform_config);
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_pulls = run.pulls;
-      first_steals = run.steals;
-      first_steal_bytes = run.steal_bytes;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               run.pulls != first_pulls || run.steals != first_steals ||
-               run.steal_bytes != first_steal_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: sharded pull run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
-      ok = false;
-    }
-    if (run.pulls == 0) {
-      std::fprintf(stderr, "FAIL: sharded pull dispatch never pulled\n");
-      ok = false;
-    }
-    json->BeginObject();
-    json->Key("shards");
-    json->Int(shards);
-    json->Key("samples_digest");
-    json->UInt(run.samples_digest);
-    json->Key("engine_digest");
-    json->UInt(run.engine_digest);
-    json->Key("pulls");
-    json->UInt(run.pulls);
-    json->Key("steals");
-    json->UInt(run.steals);
-    json->Key("steal_bytes");
-    json->UInt(run.steal_bytes);
-    json->Key("books_close");
-    json->Bool(run.books_close);
-    json->EndObject();
-  }
-  json->EndArray();
-  return ok;
+  Scenario scenario =
+      BurstScenario(ArrivalKind::kMmpp, FaasDispatchMode::kPull);
+  scenario.groups = 4;
+  scenario.tier.routers = 2;
+  return RunShardInvariantCell(
+      scenario, "sharded_cells", json,
+      [](const ScenarioResult& run, JsonWriter*) {
+        if (run.pulls == 0) {
+          std::fprintf(stderr, "FAIL: sharded pull dispatch never pulled\n");
+          return false;
+        }
+        return true;
+      });
 }
 
 void Run() {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/core/policy_factory.h"
@@ -74,9 +75,28 @@ PlatformConfig BasePlatformConfig() {
 
 struct CellResult {
   std::string label;
-  WorkloadRunResult run;
+  ScenarioResult run;
   bool books_close = false;
 };
+
+// One cell: `policy` behind the router tier `tier`, with `faults` (when
+// non-null) on the one worker group.
+ScenarioResult RunTierCell(const WorkloadSpec& spec, PolicyKind policy,
+                           const RouterTierConfig& tier, const SloConfig& slo,
+                           const PlatformConfig& config,
+                           const FaultSchedule* faults) {
+  Scenario scenario;
+  scenario.spec = spec;
+  scenario.policy = policy;
+  scenario.workers = kWorkers;
+  scenario.slo = slo;
+  scenario.platform = config;
+  scenario.tier = tier;
+  if (faults != nullptr) {
+    scenario.faults = GroupFaults(*faults, 0);
+  }
+  return RunScenario(scenario);
+}
 
 void AppendCellJson(const CellResult& cell, JsonWriter* json) {
   json->Key("submitted");
@@ -107,12 +127,6 @@ void AppendCellJson(const CellResult& cell, JsonWriter* json) {
   json->UInt(cell.run.samples_digest);
   json->Key("report");
   AppendSloReportJson(cell.run.report, json);
-}
-
-bool BooksClose(const WorkloadRunResult& run) {
-  return run.platform_submitted == run.platform_completed +
-                                       run.platform_dropped +
-                                       run.platform_abandoned;
 }
 
 void Run() {
@@ -164,9 +178,9 @@ void Run() {
         RouterTierConfig tier_config;
         tier_config.routers = routers;
         tier_config.dispatch = dispatch;
-        const WorkloadRunResult run = RunRouterWorkload(
-            spec, policy, kWorkers, tier_config, slo, base_config, nullptr);
-        const bool closes = BooksClose(run);
+        const ScenarioResult run = RunTierCell(spec, policy, tier_config, slo,
+                                               base_config, nullptr);
+        const bool closes = run.books_close;
         books_ok = books_ok && closes;
         const std::string key =
             StrFormat("%s/%s/%d", std::string(PolicyKindId(policy)).c_str(),
@@ -233,10 +247,10 @@ void Run() {
     tier_config.routers = 4;
     tier_config.dispatch = DispatchMode::kColorPartition;
     tier_config.sync_lag = SimTime::FromMillis(lag_ms);
-    const WorkloadRunResult run =
-        RunRouterWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                          tier_config, slo, retry_config, &churn);
-    const bool closes = BooksClose(run);
+    const ScenarioResult run =
+        RunTierCell(spec, PolicyKind::kLeastAssigned, tier_config, slo,
+                    retry_config, &churn);
+    const bool closes = run.books_close;
     books_ok = books_ok && closes;
     misroutes_by_lag.push_back(run.router_misroutes);
 
@@ -278,10 +292,10 @@ void Run() {
     RouterTierConfig tier_config;
     tier_config.routers = 4;
     tier_config.dispatch = DispatchMode::kColorPartition;
-    const WorkloadRunResult run =
-        RunRouterWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                          tier_config, slo, base_config, faults);
-    const bool closes = BooksClose(run);
+    const ScenarioResult run =
+        RunTierCell(spec, PolicyKind::kLeastAssigned, tier_config, slo,
+                    base_config, faults);
+    const bool closes = run.books_close;
     books_ok = books_ok && closes;
     const char* scenario = faults == nullptr ? "steady" : "crash+restart";
     fault_table.AddRow({scenario,

@@ -58,13 +58,12 @@ void Run() {
       PolicyKind::kObliviousRandom, PolicyKind::kConsistentHashing,
       PolicyKind::kBucketHashing, PolicyKind::kLeastAssigned};
 
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(kDeadlineMs);
-  slo.warmup = SimTime::FromSeconds(5);
-
+  Scenario scenario;
+  scenario.workers = kWorkers;
+  scenario.slo.deadline = SimTime::FromMillis(kDeadlineMs);
+  scenario.slo.warmup = SimTime::FromSeconds(5);
+  scenario.platform.cache.per_instance_capacity = 32 * kMiB;
   const WorkloadSpec base = SweepSpec();
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.cache.per_instance_capacity = 32 * kMiB;
 
   TablePrinter table;
   table.AddRow({"policy", "offered_rps", "completed_rps", "goodput_rps",
@@ -93,10 +92,11 @@ void Run() {
 
   for (const PolicyKind policy : policies) {
     const RateSweepResult sweep = SweepRates(rates, [&](double rate) {
-      WorkloadSpec spec = base;
-      spec.arrival.rate_per_sec = rate;
-      return RunWorkload(spec, policy, kWorkers, slo, platform_config)
-          .report;
+      Scenario at_rate = scenario;
+      at_rate.policy = policy;
+      at_rate.spec = base;
+      at_rate.spec.arrival.rate_per_sec = rate;
+      return RunScenario(at_rate).report;
     });
     knees.push_back(Knee{policy, sweep.max_sustainable_rps});
 

@@ -35,12 +35,12 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/router/router_tier.h"
 #include "src/storage/storage_types.h"
 #include "src/workload/fault_schedule.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -80,67 +80,42 @@ StorageConfig StorageFor(CoherenceMode mode) {
   return storage;
 }
 
+// Write-heavy open loop under coherence `mode`.
+Scenario WriteHeavyScenario(CoherenceMode mode) {
+  Scenario scenario;
+  scenario.spec = WriteHeavySpec();
+  scenario.workers = kWorkers;
+  scenario.slo.deadline = SimTime::FromMillis(250);
+  scenario.slo.warmup = SimTime::FromSeconds(2);
+  scenario.platform.storage = StorageFor(mode);
+  // Remote hits leave a local copy behind — under spray that plants the
+  // foreign replicas every write then has to reconcile; under sticky
+  // routing reads are already local, so nothing replicates.
+  scenario.platform.cache.replicate_on_remote_hit = true;
+  return scenario;
+}
+
 struct Cell {
   std::string label;
   CoherenceMode mode = CoherenceMode::kNone;
-  WorkloadRunResult run;
+  ScenarioResult run;
   bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, CoherenceMode mode, int routers,
              DispatchMode dispatch, const FaultSchedule* faults) {
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(250);
-  slo.warmup = SimTime::FromSeconds(2);
-  RouterTierConfig tier_config;
-  tier_config.routers = routers;
-  tier_config.dispatch = dispatch;
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.storage = StorageFor(mode);
-  // Remote hits leave a local copy behind — under spray that plants the
-  // foreign replicas every write then has to reconcile; under sticky
-  // routing reads are already local, so nothing replicates.
-  platform_config.cache.replicate_on_remote_hit = true;
+  Scenario scenario = WriteHeavyScenario(mode);
+  scenario.tier.routers = routers;
+  scenario.tier.dispatch = dispatch;
+  if (faults != nullptr) {
+    scenario.faults = GroupFaults(*faults, 0);
+  }
   Cell cell;
   cell.label = label;
   cell.mode = mode;
-  cell.run = RunRouterWorkload(WriteHeavySpec(), PolicyKind::kLeastAssigned,
-                               kWorkers, tier_config, slo, platform_config,
-                               faults);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.run = RunScenario(scenario);
+  cell.books_close = cell.run.books_close;
   return cell;
-}
-
-void AppendStorageJson(const StorageStats& s, JsonWriter* json) {
-  json->BeginObject();
-  json->Key("writes_total");
-  json->UInt(s.writes_total);
-  json->Key("writes_durable");
-  json->UInt(s.writes_durable);
-  json->Key("writes_lost");
-  json->UInt(s.writes_lost);
-  json->Key("flushes");
-  json->UInt(s.flushes);
-  json->Key("dirty_bytes_lost");
-  json->UInt(s.dirty_bytes_lost);
-  json->Key("coherence_syncs");
-  json->UInt(s.coherence_syncs);
-  json->Key("coherence_bytes");
-  json->UInt(s.coherence_bytes);
-  json->Key("stale_reads");
-  json->UInt(s.stale_reads);
-  json->Key("max_served_staleness_ns");
-  json->Int(s.max_served_staleness_ns);
-  json->Key("ae_records");
-  json->UInt(s.ae_records);
-  json->Key("ae_applied");
-  json->UInt(s.ae_applied);
-  json->Key("write_books_close");
-  json->Bool(s.WriteBooksClose());
-  json->EndObject();
 }
 
 void AppendCellJson(const Cell& cell, JsonWriter* json) {
@@ -160,7 +135,7 @@ void AppendCellJson(const Cell& cell, JsonWriter* json) {
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->Key("storage");
-  AppendStorageJson(cell.run.storage, json);
+  AppendStorageStatsJson(cell.run.storage, json);
   json->EndObject();
 }
 
@@ -182,75 +157,26 @@ void AddTableRow(TablePrinter* table, const Cell& cell) {
        CellBooksClose(cell) ? "close" : "VIOLATED"});
 }
 
-// Sharded-engine determinism cell: a write-heavy MMPP run under causal
-// coherence must produce identical digests and storage books for every
-// shard count.
+// Worker-group determinism cell: a write-heavy MMPP run under causal
+// coherence must report identical figures, storage books among them, for
+// every shard count.
 bool RunShardedCell(JsonWriter* json) {
-  ShardedWorkloadConfig config;
-  config.groups = 4;
-  config.routers_per_group = 2;
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(250);
-  slo.warmup = SimTime::FromSeconds(2);
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.storage = StorageFor(CoherenceMode::kCausal);
-  platform_config.cache.replicate_on_remote_hit = true;
-  const WorkloadSpec spec = WriteHeavySpec();
-
-  json->Key("sharded_cells");
-  json->BeginArray();
-  bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0;
-  StorageStats first_storage;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, platform_config);
-    const StorageStats& s = run.storage;
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_storage = s;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               s.writes_total != first_storage.writes_total ||
-               s.writes_durable != first_storage.writes_durable ||
-               s.writes_lost != first_storage.writes_lost ||
-               s.coherence_syncs != first_storage.coherence_syncs ||
-               s.coherence_bytes != first_storage.coherence_bytes ||
-               s.stale_reads != first_storage.stale_reads ||
-               s.max_served_staleness_ns !=
-                   first_storage.max_served_staleness_ns ||
-               s.ae_records != first_storage.ae_records ||
-               s.ae_applied != first_storage.ae_applied) {
-      std::fprintf(stderr,
-                   "FAIL: sharded write-heavy run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close || !s.WriteBooksClose()) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
-      ok = false;
-    }
-    if (s.writes_total == 0) {
-      std::fprintf(stderr, "FAIL: sharded cell wrote nothing\n");
-      ok = false;
-    }
-    json->BeginObject();
-    json->Key("shards");
-    json->Int(shards);
-    json->Key("samples_digest");
-    json->UInt(run.samples_digest);
-    json->Key("engine_digest");
-    json->UInt(run.engine_digest);
-    json->Key("storage");
-    AppendStorageJson(s, json);
-    json->EndObject();
-  }
-  json->EndArray();
-  return ok;
+  Scenario scenario = WriteHeavyScenario(CoherenceMode::kCausal);
+  scenario.groups = 4;
+  scenario.tier.routers = 2;
+  return RunShardInvariantCell(
+      scenario, "sharded_cells", json,
+      [](const ScenarioResult& run, JsonWriter*) {
+        if (!run.storage.WriteBooksClose()) {
+          std::fprintf(stderr, "FAIL: sharded write books do not close\n");
+          return false;
+        }
+        if (run.storage.writes_total == 0) {
+          std::fprintf(stderr, "FAIL: sharded cell wrote nothing\n");
+          return false;
+        }
+        return true;
+      });
 }
 
 void Run() {

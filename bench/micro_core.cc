@@ -29,7 +29,7 @@
 #include "src/hash/hash.h"
 #include "src/sim/simulator.h"
 #include "src/sketch/hyperloglog.h"
-#include "src/workload/sharded_run.h"
+#include "src/workload/spec.h"
 
 namespace palette {
 namespace {
@@ -242,30 +242,27 @@ double MeasureEventsPerSec(std::uint64_t n) {
 // mismatch fails the binary so CI catches it.
 struct ShardedPoint {
   int shards = 1;
-  ShardedRunResult run;
+  ScenarioResult run;
 };
 
 std::vector<ShardedPoint> MeasureShardedEngine() {
-  WorkloadSpec spec;
-  spec.arrival.kind = ArrivalKind::kDiurnal;
-  spec.arrival.rate_per_sec = 20000;
-  spec.arrival.period_seconds = 1.0;
-  spec.arrival.amplitude = 0.8;
-  spec.driver.duration = SimTime::FromSeconds(2);
-  ShardedWorkloadConfig config;
-  config.groups = 8;
-  config.routers_per_group = 2;
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(100);
-  slo.warmup = SimTime::FromMillis(250);
-  const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
+  Scenario scenario;
+  scenario.spec.arrival.kind = ArrivalKind::kDiurnal;
+  scenario.spec.arrival.rate_per_sec = 20000;
+  scenario.spec.arrival.period_seconds = 1.0;
+  scenario.spec.arrival.amplitude = 0.8;
+  scenario.spec.driver.duration = SimTime::FromSeconds(2);
+  scenario.workers = 64;
+  scenario.groups = 8;
+  scenario.tier.routers = 2;
+  scenario.slo.deadline = SimTime::FromMillis(100);
+  scenario.slo.warmup = SimTime::FromMillis(250);
   std::vector<ShardedPoint> points;
   for (const int shards : {1, 2, 4, 8}) {
-    config.shards = shards;
+    scenario.shards = shards;
     ShardedPoint point;
     point.shards = shards;
-    point.run = RunShardedWorkload(spec, PolicyKind::kLeastAssigned, 64,
-                                   config, slo, platform_config);
+    point.run = RunScenario(scenario);
     points.push_back(std::move(point));
   }
   return points;
@@ -286,38 +283,34 @@ struct SamplerAb {
 };
 
 SamplerAb MeasureSamplerOverhead() {
-  WorkloadSpec spec;
-  spec.arrival.rate_per_sec = 20000;
-  spec.driver.duration = SimTime::FromSeconds(4);
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(100);
-  const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  WorkloadObsConfig obs;
-  obs.sample_every = SimTime::FromMillis(100);
+  Scenario off;
+  off.spec.arrival.rate_per_sec = 20000;
+  off.spec.driver.duration = SimTime::FromSeconds(4);
+  off.workers = 64;
+  off.slo.deadline = SimTime::FromMillis(100);
+  Scenario on = off;
+  on.obs.sample_every = SimTime::FromMillis(100);
 
   SamplerAb ab;
   std::uint64_t digest_off = 0;
   std::uint64_t digest_on = 0;
   const auto run_off = [&] {
     const auto start = std::chrono::steady_clock::now();
-    const WorkloadRunResult off = RunWorkload(
-        spec, PolicyKind::kLeastAssigned, 64, slo, platform_config);
+    const ScenarioResult run = RunScenario(off);
     const double eps =
-        static_cast<double>(off.sim_events) / SecondsSince(start);
+        static_cast<double>(run.sim_events) / SecondsSince(start);
     ab.events_per_sec_off = std::max(ab.events_per_sec_off, eps);
-    digest_off = off.samples_digest;
+    digest_off = run.samples_digest;
   };
   const auto run_on = [&] {
     const auto start = std::chrono::steady_clock::now();
-    const WorkloadRunResult on =
-        RunWorkload(spec, PolicyKind::kLeastAssigned, 64, slo,
-                    platform_config, nullptr, &obs);
+    const ScenarioResult run = RunScenario(on);
     const double eps =
-        static_cast<double>(on.sim_events) / SecondsSince(start);
+        static_cast<double>(run.sim_events) / SecondsSince(start);
     ab.events_per_sec_on = std::max(ab.events_per_sec_on, eps);
-    digest_on = on.samples_digest;
-    if (on.telemetry.series != nullptr) {
-      ab.samples_taken = on.telemetry.series->samples_taken();
+    digest_on = run.samples_digest;
+    if (run.telemetry.series != nullptr) {
+      ab.samples_taken = run.telemetry.series->samples_taken();
     }
   };
   // Alternate arm order across reps so throughput drift (turbo decay,

@@ -70,7 +70,7 @@ struct RouterTierConfig {
   SimTime hop_latency = SimTime::FromMicros(200);
   // Delay before a membership change reaches a replica's view. Zero means
   // views are updated synchronously (always authoritative).
-  SimTime sync_lag;
+  SimTime sync_lag = SimTime();
   // Per-replica view policy; each replica runs its own instance of it.
   PolicyKind policy = PolicyKind::kLeastAssigned;
   std::uint64_t seed = 1;

@@ -65,11 +65,9 @@ class FaultSchedule {
                                 const std::vector<std::string>& workers,
                                 std::uint64_t seed);
 
-  // Schedules every event on `sim` against `platform`. Both must outlive
-  // the run; call before Simulator::Run. The overload with a RouterTier
-  // additionally delivers kRouterCrash/kRouterRestart events to the tier
-  // (they are skipped when `tier` is null).
-  void InstallOn(Simulator* sim, FaasPlatform* platform) const;
+  // Schedules every event on `sim` against `platform`, and the
+  // kRouterCrash/kRouterRestart events against `tier` (skipped when `tier`
+  // is null). All must outlive the run; call before Simulator::Run.
   void InstallOn(Simulator* sim, FaasPlatform* platform,
                  RouterTier* tier) const;
 

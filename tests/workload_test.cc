@@ -12,6 +12,8 @@
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
+#include "src/hash/hash.h"
+#include "src/obs/prometheus.h"
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/fault_schedule.h"
@@ -641,6 +643,148 @@ TEST(WorkloadRunTest, StickyPoliciesBeatObliviousOnHitRatio) {
       RunWorkload(spec, PolicyKind::kObliviousRandom, 4, slo, config);
   EXPECT_GT(sticky.report.local_hit_ratio,
             oblivious.report.local_hit_ratio + 0.2);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins for single-group (monolithic) runs. The values were recorded
+// before the run harness was unified; a single-group run must reproduce
+// them bit for bit.
+
+namespace {
+
+WorkloadSpec PinSpec() {
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kMmpp;
+  spec.arrival.rate_per_sec = 500;
+  spec.mix.color_count = 64;
+  spec.mix.zipf_theta = 0.9;
+  // ~10 ms compute: 8 workers run about 60% busy, so a crash catches
+  // running and queued invocations.
+  spec.mix.functions[0].cpu_ops = 1e7;
+  spec.driver.duration = SimTime::FromSeconds(3);
+  spec.seed = 23;
+  return spec;
+}
+
+struct PinnedBooks {
+  std::uint64_t samples_digest;
+  std::uint64_t sim_events;
+  std::uint64_t submitted;
+  std::uint64_t completed;
+  std::uint64_t dropped;
+  std::uint64_t abandoned;
+  std::uint64_t rejected;
+};
+
+void ExpectPinned(const WorkloadRunResult& run, const PinnedBooks& pin) {
+  EXPECT_EQ(run.samples_digest, pin.samples_digest);
+  EXPECT_EQ(run.sim_events, pin.sim_events);
+  EXPECT_EQ(run.platform_submitted, pin.submitted);
+  EXPECT_EQ(run.platform_completed, pin.completed);
+  EXPECT_EQ(run.platform_dropped, pin.dropped);
+  EXPECT_EQ(run.platform_abandoned, pin.abandoned);
+  EXPECT_EQ(run.report.rejected, pin.rejected);
+  EXPECT_EQ(run.platform_submitted, run.platform_completed +
+                                        run.platform_dropped +
+                                        run.platform_abandoned);
+}
+
+}  // namespace
+
+TEST(MonolithicPinTest, PushLeastAssigned) {
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  const WorkloadRunResult run =
+      RunWorkload(PinSpec(), PolicyKind::kLeastAssigned, 8, slo,
+                  DefaultWorkloadPlatformConfig());
+  ExpectPinned(run, {0x236a6a1b443b966aULL, 2452, 613, 613, 0, 0, 0});
+}
+
+TEST(MonolithicPinTest, HybridWriteBackWithPlanner) {
+  WorkloadSpec spec = PinSpec();
+  spec.mix.write_fraction = 0.2;
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.dispatch_mode = FaasDispatchMode::kHybrid;
+  config.storage.mode = CoherenceMode::kWriteBack;
+  PlannerConfig planner;
+  planner.plan_every = SimTime::FromMillis(500);
+  planner.seed = spec.seed;
+  const WorkloadRunResult run =
+      RunWorkload(spec, PolicyKind::kLeastAssigned, 8, slo, config, nullptr,
+                  nullptr, &planner);
+  EXPECT_GT(run.planner_rounds, 0u);
+  EXPECT_GT(run.storage.writes_total, 0u);
+  ExpectPinned(run, {0xd62daf03d30f1c70ULL, 3645, 613, 613, 0, 0, 0});
+  EXPECT_EQ(run.planner_moves, 25u);
+  EXPECT_EQ(run.pulls, 203u);
+}
+
+TEST(MonolithicPinTest, SprayingRouterTierWithWorkerCrash) {
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.retry.max_attempts = 3;
+  RouterTierConfig tier;
+  tier.routers = 4;
+  tier.dispatch = DispatchMode::kSpray;
+  tier.sync_lag = SimTime::FromMillis(10);
+  FaultSchedule faults;
+  faults.Add(FaultEvent{SimTime::FromMillis(1100), FaultKind::kCrash, "w3"});
+  faults.Add(FaultEvent{SimTime::FromMillis(2100), FaultKind::kRestart, "w3"});
+  const WorkloadRunResult run =
+      RunRouterWorkload(PinSpec(), PolicyKind::kLeastAssigned, 8, tier, slo,
+                        config, &faults);
+  EXPECT_GT(run.router_routes, 0u);
+  ExpectPinned(run, {0xa774396fa4e772a2ULL, 2465, 613, 613, 0, 0, 0});
+  EXPECT_EQ(run.router_misroutes, 0u);
+  EXPECT_EQ(run.retries, 1u);
+}
+
+TEST(MonolithicPinTest, TelemetryOn) {
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  WorkloadObsConfig obs;
+  obs.sample_every = SimTime::FromMillis(100);
+  std::vector<std::string> errors;
+  obs.alert_rules =
+      ParseAlertRules("submit=driver.submitted.rate>0:1:1", &errors);
+  ASSERT_TRUE(errors.empty());
+  const WorkloadRunResult run =
+      RunWorkload(PinSpec(), PolicyKind::kLeastAssigned, 8, slo,
+                  DefaultWorkloadPlatformConfig(), nullptr, &obs);
+  ExpectPinned(run, {0x236a6a1b443b966aULL, 2452, 613, 613, 0, 0, 0});
+  ASSERT_TRUE(run.telemetry.enabled());
+  ASSERT_NE(run.telemetry.alerts, nullptr);
+  // The exported artifacts are pinned byte for byte.
+  EXPECT_EQ(Fnv1a64(run.telemetry.series->ToCsv()), 0x2e661adb5c97fa4dULL);
+  EXPECT_EQ(Fnv1a64(ToPrometheusText(*run.telemetry.metrics)),
+            0x74f6f7c8895de402ULL);
+  EXPECT_EQ(Fnv1a64(run.telemetry.alerts->ToLogLines()),
+            0x4f61c7f0f18fe6c3ULL);
+}
+
+TEST(ShardedBooksTest, GroupRejectionsScoreAsRejected) {
+  // Two workers across four groups leave two groups with no worker at
+  // all: every arrival they own is refused at the group. The driver books
+  // each refusal as rejected, exactly as a single-group run does.
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  ShardedWorkloadConfig config;
+  config.groups = 4;
+  config.shards = 2;
+  config.routers_per_group = 0;
+  const ShardedRunResult run =
+      RunShardedWorkload(PinSpec(), PolicyKind::kLeastAssigned, 2, config,
+                         slo, DefaultWorkloadPlatformConfig());
+  EXPECT_GT(run.group_rejections, 0u);
+  EXPECT_EQ(run.report.rejected, run.group_rejections);
+  EXPECT_EQ(run.report.dropped, run.group_dropped);
+  EXPECT_EQ(run.report.submitted, run.report.completed +
+                                      run.report.rejected +
+                                      run.report.dropped);
+  EXPECT_TRUE(run.books_close);
 }
 
 // ---------------------------------------------------------------------------

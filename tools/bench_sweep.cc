@@ -21,22 +21,25 @@
 //
 // `--workload=poisson|fixed|mmpp|diurnal` switches the grid cells from
 // Task Bench DAG replays to open-loop SLO runs (src/workload): each cell
-// drives a fresh platform with that arrival process and reports
-// p50/p99/goodput/hit ratio instead of makespan. The workload spec comes
-// from the loadgen flag set (--rate, --duration, --colors, --theta, ...;
-// see docs/WORKLOADS.md), with each cell's seed from the grid.
+// is one RunScenario with that arrival process, written in loadgen's result
+// schema (p50/p99/goodput/hit ratio, books and digests instead of
+// makespan). The workload spec comes from the loadgen flag set (--rate,
+// --duration, --colors, --theta, ...; see docs/WORKLOADS.md), with each
+// cell's seed from the grid.
 //
-// `--shards=N` (workload mode only) runs every cell as a sharded run
-// (docs/PERF.md, "Parallel engine"): --groups worker groups, each fronted
-// by --group_routers routers, spread over N threads. Each such cell owns
-// an N-thread pool, so the sweep's own fan-out is capped at
-// hardware_concurrency / N — shards x cells never oversubscribes the
-// machine.
+// `--groups=G` (workload mode only) splits every cell's cluster into G
+// worker groups fronted by --group_routers routers each (docs/PERF.md,
+// "Parallel engine"); `--shards=N` runs each cell's groups on N threads
+// and defaults to 8 groups of 2 routers. Each such cell owns an N-thread
+// pool, so the sweep's own fan-out is capped at hardware_concurrency / N —
+// shards x cells never oversubscribes the machine.
 //
-// A flag the chosen mode does not read is an error (exit status 2).
+// A flag the chosen mode does not read, or a value out of range, is an
+// error (exit status 2).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,7 +51,6 @@
 #include "src/core/policy_factory.h"
 #include "src/dag/dag_executor.h"
 #include "src/taskbench/taskbench.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -98,33 +100,41 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Open-loop SLO grid: one RunWorkload per (policy, seed, workers) cell.
-// Like the DAG cells, every cell owns a private Simulator + platform, so
+// Open-loop SLO grid: one RunScenario per (policy, seed, workers) cell.
+// Like the DAG cells, every cell owns private simulators and platforms, so
 // the grid parallelizes without locks and is bit-reproducible.
 int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
                      const std::vector<PolicyKind>& policies,
                      const std::vector<int>& worker_counts,
                      std::uint64_t seeds, std::size_t threads, int shards,
                      const std::string& out_path) {
-  WorkloadSpec base_spec;
-  if (!WorkloadSpecFromFlags(flags, &base_spec)) {
+  Scenario base;
+  if (!WorkloadSpecFromFlags(flags, &base.spec)) {
     return 2;
   }
-  base_spec.arrival.kind = arrival_kind;
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
-  slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
-  const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-
-  // Sharded cells: each one spins a `shards`-thread pool, so cap the
-  // sweep's own fan-out at hardware_concurrency / shards to keep shards x
-  // cells at or under the machine's width.
-  ShardedWorkloadConfig sharded_config;
-  if (shards >= 1) {
-    sharded_config.shards = shards;
-    sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
-    sharded_config.routers_per_group =
-        static_cast<int>(flags.GetInt("group_routers", 2));
+  base.spec.arrival.kind = arrival_kind;
+  base.slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
+  base.slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
+  // --shards>=1 picks the per-cell thread count and the sharded defaults
+  // (8 groups of 2 routers), as in loadgen.
+  const bool sharded = shards >= 1;
+  base.shards = sharded ? shards : 1;
+  base.groups = static_cast<int>(flags.GetInt("groups", sharded ? 8 : 1));
+  base.tier.routers =
+      static_cast<int>(flags.GetInt("group_routers", sharded ? 2 : 0));
+  if (base.groups < 1 || base.tier.routers < 0) {
+    std::fprintf(stderr, "--groups=%d --group_routers=%d are out of range: "
+                         "need groups >= 1 and group_routers >= 0\n",
+                 base.groups, base.tier.routers);
+    return 2;
+  }
+  if (flags.ReportUnqueried()) {
+    return 2;
+  }
+  if (sharded) {
+    // Each cell spins a `shards`-thread pool, so cap the sweep's own
+    // fan-out at hardware_concurrency / shards to keep shards x cells at
+    // or under the machine's width.
     const auto hw = static_cast<std::size_t>(
         std::max(1u, std::thread::hardware_concurrency()));
     const std::size_t cap =
@@ -134,16 +144,10 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
                 "%zu thread(s)\n",
                 shards, threads);
   }
-  if (flags.ReportUnqueried()) {
-    return 2;
-  }
 
   struct WorkloadCell {
-    PolicyKind policy;
-    std::uint64_t seed = 1;
-    int workers = 8;
-    WorkloadRunResult run;
-    ShardedRunResult sharded;
+    Scenario scenario;
+    ScenarioResult run;
     double wall_seconds = 0;
   };
   std::vector<WorkloadCell> cells;
@@ -151,9 +155,10 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       for (const int workers : worker_counts) {
         WorkloadCell cell;
-        cell.policy = policy;
-        cell.seed = seed;
-        cell.workers = workers;
+        cell.scenario = base;
+        cell.scenario.policy = policy;
+        cell.scenario.spec.seed = seed;
+        cell.scenario.workers = workers;
         cells.push_back(std::move(cell));
       }
     }
@@ -163,18 +168,7 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   ParallelFor(cells.size(), threads, [&](std::size_t i) {
     WorkloadCell& cell = cells[i];
     const auto cell_start = std::chrono::steady_clock::now();
-    WorkloadSpec spec = base_spec;
-    spec.seed = cell.seed;
-    if (shards >= 1) {
-      cell.sharded = RunShardedWorkload(spec, cell.policy, cell.workers,
-                                        sharded_config, slo,
-                                        platform_config);
-      cell.run.report = cell.sharded.report;
-      cell.run.samples_digest = cell.sharded.samples_digest;
-    } else {
-      cell.run = RunWorkload(spec, cell.policy, cell.workers, slo,
-                             platform_config);
-    }
+    cell.run = RunScenario(cell.scenario);
     cell.wall_seconds = SecondsSince(cell_start);
   });
   const double wall_seconds = SecondsSince(sweep_start);
@@ -183,15 +177,16 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   table.AddRow({"policy", "seed", "workers", "p50_ms", "p99_ms",
                 "goodput_rps", "hit%", "meets_slo"});
   for (const WorkloadCell& cell : cells) {
+    const SloReport& report = cell.run.report;
     table.AddRow(
-        {std::string(PolicyKindId(cell.policy)),
-         StrFormat("%llu", static_cast<unsigned long long>(cell.seed)),
-         StrFormat("%d", cell.workers),
-         StrFormat("%.3f", cell.run.report.p50_ms),
-         StrFormat("%.3f", cell.run.report.p99_ms),
-         StrFormat("%.1f", cell.run.report.goodput_rps),
-         StrFormat("%.1f", 100 * cell.run.report.local_hit_ratio),
-         cell.run.report.MeetsSlo() ? "yes" : "no"});
+        {std::string(PolicyKindId(cell.scenario.policy)),
+         StrFormat("%llu",
+                   static_cast<unsigned long long>(cell.scenario.spec.seed)),
+         StrFormat("%d", cell.scenario.workers),
+         StrFormat("%.3f", report.p50_ms), StrFormat("%.3f", report.p99_ms),
+         StrFormat("%.1f", report.goodput_rps),
+         StrFormat("%.1f", 100 * report.local_hit_ratio),
+         report.MeetsSlo() ? "yes" : "no"});
   }
   table.Print();
   std::printf("\n%zu workload cells in %.3f s\n", cells.size(),
@@ -204,15 +199,13 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   json.Key("bench");
   json.String("sweep-workload");
   json.Key("spec");
-  AppendWorkloadSpecJson(base_spec, &json);
-  if (shards >= 1) {
-    json.Key("shards");
-    json.Int(shards);
-    json.Key("groups");
-    json.Int(sharded_config.groups);
-    json.Key("group_routers");
-    json.Int(sharded_config.routers_per_group);
-  }
+  AppendWorkloadSpecJson(base.spec, &json);
+  json.Key("groups");
+  json.Int(base.groups);
+  json.Key("shards");
+  json.Int(base.shards);
+  json.Key("group_routers");
+  json.Int(base.tier.routers);
   json.Key("wall_seconds");
   json.Double(wall_seconds);
   json.Key("results");
@@ -220,23 +213,14 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   for (const WorkloadCell& cell : cells) {
     json.BeginObject();
     json.Key("policy");
-    json.String(PolicyKindId(cell.policy));
+    json.String(PolicyKindId(cell.scenario.policy));
     json.Key("seed");
-    json.UInt(cell.seed);
+    json.UInt(cell.scenario.spec.seed);
     json.Key("workers");
-    json.Int(cell.workers);
-    json.Key("samples_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         cell.run.samples_digest)));
-    if (shards >= 1) {
-      json.Key("engine_digest");
-      json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                           cell.sharded.engine_digest)));
-    }
+    json.Int(cell.scenario.workers);
     json.Key("cell_wall_seconds");
     json.Double(cell.wall_seconds);
-    json.Key("report");
-    AppendSloReportJson(cell.run.report, &json);
+    AppendScenarioResultJson(cell.scenario, cell.run, &json);
     json.EndObject();
   }
   json.EndArray();
@@ -257,25 +241,30 @@ int Run(int argc, char** argv) {
     PolicyKind kind;
     if (!ParsePolicyKind(id, &kind)) {
       std::fprintf(stderr, "unknown policy id: %s\n", id.c_str());
-      return 1;
+      return 2;
     }
     policies.push_back(kind);
   }
   std::vector<int> worker_counts;
   for (const std::string& w : SplitCsv(flags.GetString("workers", "8,16"))) {
-    const int count = std::stoi(w);
-    if (count <= 0) {
+    char* end = nullptr;
+    const long count = std::strtol(w.c_str(), &end, 10);
+    if (*end != '\0' || count <= 0 || count > 1'000'000) {
       std::fprintf(stderr, "worker counts must be positive, got: %s\n",
                    w.c_str());
-      return 1;
+      return 2;
     }
-    worker_counts.push_back(count);
+    worker_counts.push_back(static_cast<int>(count));
   }
   const auto seeds = static_cast<std::uint64_t>(flags.GetInt("seeds", 3));
 
   // Open-loop SLO cells instead of DAG replays; --shards>=1 puts each
   // cell on the sharded parallel engine.
   const int shards = static_cast<int>(flags.GetInt("shards", 0));
+  if (shards < 0) {
+    std::fprintf(stderr, "--shards=%d is out of range: need >= 0\n", shards);
+    return 2;
+  }
   const std::string workload_id = flags.GetString("workload", "");
   if (!workload_id.empty()) {
     ArrivalKind arrival_kind;
@@ -284,7 +273,7 @@ int Run(int argc, char** argv) {
                    "unknown workload arrival kind: %s (try: fixed, "
                    "poisson, mmpp, diurnal)\n",
                    workload_id.c_str());
-      return 1;
+      return 2;
     }
     return RunWorkloadSweep(
         flags, arrival_kind, policies, worker_counts, seeds,
@@ -295,7 +284,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr,
                  "--shards requires --workload (DAG cells have no sharded "
                  "mode)\n");
-    return 1;
+    return 2;
   }
 
   const std::string pattern_name = flags.GetString("pattern", "stencil_1d");
@@ -309,7 +298,7 @@ int Run(int argc, char** argv) {
                    TaskBenchPatternName(p).data());
     }
     std::fprintf(stderr, ")\n");
-    return 1;
+    return 2;
   }
   TaskBenchConfig bench_config;
   bench_config.width = static_cast<int>(flags.GetInt("width", 16));

@@ -20,8 +20,9 @@
 //           [--dirty_age_ms=50] [--staleness_ms=100] [--ae_lag_ms=10]
 //           [--storage_tiers=1]          # 2: fast/slow backing store
 //           [--fast_mb=256]              # fast-tier capacity
-//           [--shards=0]                 # >=1: sharded run, N threads
-//           [--groups=8] [--group_routers=2]
+//           [--groups=1]                 # >1: split into worker groups
+//           [--shards=0]                 # >=1: N threads; groups default 8
+//           [--group_routers=2]          # routers per group with --shards
 //           [--sweep=200,400,800,1600]   # rate step-sweep for the knee
 //           [--dump_samples]             # embed per-sample records
 //           [--out=BENCH_slo.json]
@@ -30,15 +31,15 @@
 //           [--ts_out=<path|->]          # time-series CSV
 //           [--alerts=<rules>] [--alert_log=<path|->]   # SLO alert engine
 //           [--trace_counters=<path>]    # Chrome-trace counter tracks
-//           [--profile]                  # sharded-run profiler (JSON)
+//           [--profile]                  # per-thread engine profile (JSON)
 //           [--plan_every_ms=0]          # >0: global re-balancer cadence
 //           [--move_alpha=0.5] [--split_threshold=0.2] [--max_split=4]
 //
 // Planner (docs/PLANNER.md): --plan_every_ms>0 runs the optimization-based
 // re-balancer on the sim clock — periodic snapshot -> solve -> apply with
-// hot-color splitting. Works in all three modes (monolithic, --routers,
-// --shards); the JSON grows "planner" (config) and "planner_result"
-// (rounds, moves/splits/merges, per-round objectives in monolithic mode).
+// hot-color splitting, one planner per worker group; the JSON grows
+// "planner" (config) and "planner_result" (rounds, moves/splits/merges,
+// per-round objectives in group order).
 //
 // Telemetry (docs/OBSERVABILITY.md): --sample_every_ms>0 attaches a
 // TimeSeriesSampler on the simulator's event-free clock observer — rates,
@@ -56,16 +57,19 @@
 // backing store. The JSON grows a "storage" section with the write books,
 // coherence traffic, staleness, and tier counters.
 //
-// Sharded mode (docs/PERF.md, "Parallel engine"): --shards>=1 splits the
-// workload into --groups worker groups, each fronted by its own
-// --group_routers router replicas and run as its own simulation on one of
-// --shards threads. Digests are bit-identical for every --shards value;
-// --shards=0 (the default) keeps the monolithic single-simulator paths.
-// --routers and --sweep apply to monolithic mode only.
+// Worker groups (docs/PERF.md, "Parallel engine"): every run is
+// RunScenario (src/workload/spec.h). --groups splits the cluster into
+// worker groups, each its own simulation fronted by its own routers, run
+// on --shards threads; digests are bit-identical for every --shards value.
+// One group (the default without --shards) is the monolithic run. Router
+// replicas come from --routers, or from --group_routers (default 2) once
+// --shards is given; the other of the two is an error. Every run, sweep
+// point and mode writes the same result schema.
 //
-// A flag the chosen mode does not read is an error (exit status 2), never
-// silently ignored.
+// A flag the chosen mode does not read, or a value out of range, is an
+// error (exit status 2) and writes nothing.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -74,26 +78,30 @@
 #include "src/common/table_printer.h"
 #include "src/core/policy_factory.h"
 #include "src/obs/prometheus.h"
-#include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
 namespace palette {
 namespace {
 
-std::vector<double> ParseRateCsv(const std::string& csv) {
-  std::vector<double> out;
+// Parses "200,400,800"; false on an empty list or a non-positive or
+// non-numeric rate.
+bool ParseRateCsv(const std::string& csv, std::vector<double>* out) {
   std::size_t start = 0;
   while (start < csv.size()) {
     std::size_t comma = csv.find(',', start);
     if (comma == std::string::npos) {
       comma = csv.size();
     }
-    if (comma > start) {
-      out.push_back(std::stod(csv.substr(start, comma - start)));
+    const std::string item = csv.substr(start, comma - start);
+    char* end = nullptr;
+    const double rate = std::strtod(item.c_str(), &end);
+    if (item.empty() || *end != '\0' || !(rate > 0)) {
+      return false;
     }
+    out->push_back(rate);
     start = comma + 1;
   }
-  return out;
+  return !out->empty();
 }
 
 void AppendSamplesJson(const std::vector<InvocationSample>& samples,
@@ -131,145 +139,94 @@ bool WriteTextOutput(const std::string& path, const std::string& content) {
   return WriteTextFile(path, content);
 }
 
-void AppendEngineProfileJson(const EngineProfile& profile, JsonWriter* json) {
-  json->BeginObject();
-  json->Key("groups");
-  json->Int(profile.groups);
-  json->Key("shards");
-  json->Int(profile.shards);
-  json->Key("epochs");
-  json->UInt(profile.epochs);
-  json->Key("events");
-  json->UInt(profile.events);
-  json->Key("per_shard");
-  json->BeginArray();
-  for (const ShardProfile& shard : profile.per_shard) {
-    json->BeginObject();
-    json->Key("epochs");
-    json->UInt(shard.epochs);
-    json->Key("events");
-    json->UInt(shard.events);
-    json->Key("busy_epochs");
-    json->UInt(shard.busy_epochs);
-    json->Key("barrier_wait_ms");
-    json->Double(static_cast<double>(shard.barrier_wait_ns) / 1e6);
-    json->Key("drain_ms");
-    json->Double(static_cast<double>(shard.drain_ns) / 1e6);
-    json->Key("execute_ms");
-    json->Double(static_cast<double>(shard.execute_ns) / 1e6);
-    json->EndObject();
+void PrintRunSummary(const Scenario& s, const ScenarioResult& run) {
+  std::printf("%s\n", SloReportTable(run.report).c_str());
+  std::printf("samples: %zu, digest: %016llx, engine digest: %016llx, sim "
+              "events: %llu, wall: %.3f s, cold starts: %llu, platform "
+              "drops: %llu, books %s\n",
+              run.samples.size(),
+              static_cast<unsigned long long>(run.samples_digest),
+              static_cast<unsigned long long>(run.engine_digest),
+              static_cast<unsigned long long>(run.sim_events),
+              run.wall_seconds,
+              static_cast<unsigned long long>(run.cold_starts),
+              static_cast<unsigned long long>(run.platform_dropped),
+              run.books_close ? "close" : "DO NOT CLOSE");
+  if (s.platform.dispatch_mode != FaasDispatchMode::kPush) {
+    std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
+                static_cast<unsigned long long>(run.pulls),
+                static_cast<unsigned long long>(run.steals),
+                static_cast<unsigned long long>(run.steal_bytes));
   }
-  json->EndArray();
-  json->EndObject();
+  if (s.platform.storage.enabled()) {
+    const StorageStats& st = run.storage;
+    std::printf("storage: writes: %llu (%llu durable, %llu lost), coherence "
+                "bytes: %llu, stale reads: %llu, books %s\n",
+                static_cast<unsigned long long>(st.writes_total),
+                static_cast<unsigned long long>(st.writes_durable),
+                static_cast<unsigned long long>(st.writes_lost),
+                static_cast<unsigned long long>(st.coherence_bytes),
+                static_cast<unsigned long long>(st.stale_reads),
+                st.WriteBooksClose() ? "close" : "DO NOT CLOSE");
+  }
+  if (s.planner.enabled()) {
+    std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, "
+                "merges: %llu, moved: %llu bytes, imbalance: %.3f\n",
+                static_cast<unsigned long long>(run.planner_rounds),
+                static_cast<unsigned long long>(run.planner_moves),
+                static_cast<unsigned long long>(run.planner_splits),
+                static_cast<unsigned long long>(run.planner_merges),
+                static_cast<unsigned long long>(run.planner_moved_bytes),
+                run.routing_imbalance);
+  }
+  if (s.tier.routers > 0) {
+    std::printf("router tier: routes: %llu, stale: %llu, misroutes: %llu, "
+                "forwards: %llu, recolored: %llu\n",
+                static_cast<unsigned long long>(run.router_routes),
+                static_cast<unsigned long long>(run.router_stale_routes),
+                static_cast<unsigned long long>(run.router_misroutes),
+                static_cast<unsigned long long>(run.router_forwards),
+                static_cast<unsigned long long>(run.router_recolored));
+  }
 }
 
-// The "storage" result section shared by the monolithic and sharded paths
-// (docs/STORAGE.md). Callers gate on StorageConfig::enabled() so runs with
-// the tier off stay byte-identical to pre-storage output.
-void AppendStorageStatsJson(const StorageStats& s, JsonWriter* json) {
-  json->BeginObject();
-  json->Key("writes_total");
-  json->UInt(s.writes_total);
-  json->Key("writes_durable");
-  json->UInt(s.writes_durable);
-  json->Key("writes_lost");
-  json->UInt(s.writes_lost);
-  json->Key("write_bytes");
-  json->UInt(s.write_bytes);
-  json->Key("flushes");
-  json->UInt(s.flushes);
-  json->Key("dirty_bytes_flushed");
-  json->UInt(s.dirty_bytes_flushed);
-  json->Key("dirty_bytes_lost");
-  json->UInt(s.dirty_bytes_lost);
-  json->Key("coherence_syncs");
-  json->UInt(s.coherence_syncs);
-  json->Key("coherence_bytes");
-  json->UInt(s.coherence_bytes);
-  json->Key("stale_reads");
-  json->UInt(s.stale_reads);
-  json->Key("max_served_staleness_ns");
-  json->Int(s.max_served_staleness_ns);
-  json->Key("ae_records");
-  json->UInt(s.ae_records);
-  json->Key("ae_applied");
-  json->UInt(s.ae_applied);
-  json->Key("ae_invalidations");
-  json->UInt(s.ae_invalidations);
-  json->Key("ae_refreshes");
-  json->UInt(s.ae_refreshes);
-  json->Key("ae_refresh_bytes");
-  json->UInt(s.ae_refresh_bytes);
-  json->Key("tier_fast_reads");
-  json->UInt(s.tier_fast_reads);
-  json->Key("tier_slow_reads");
-  json->UInt(s.tier_slow_reads);
-  json->Key("tier_promotions");
-  json->UInt(s.tier_promotions);
-  json->Key("tier_demotions");
-  json->UInt(s.tier_demotions);
-  json->Key("tier_promoted_bytes");
-  json->UInt(s.tier_promoted_bytes);
-  json->Key("tier_demoted_bytes");
-  json->UInt(s.tier_demoted_bytes);
-  json->Key("write_books_close");
-  json->Bool(s.WriteBooksClose());
-  json->EndObject();
-}
+// Where the telemetry artifacts go; empty = not written.
+struct TelemetryOutputs {
+  std::string prom_out;
+  std::string ts_out;
+  std::string alert_log;
+  std::string trace_counters;
 
-void PrintStorageSummary(const StorageStats& s) {
-  std::printf("storage: writes: %llu (%llu durable, %llu lost), coherence "
-              "bytes: %llu, stale reads: %llu, books %s\n",
-              static_cast<unsigned long long>(s.writes_total),
-              static_cast<unsigned long long>(s.writes_durable),
-              static_cast<unsigned long long>(s.writes_lost),
-              static_cast<unsigned long long>(s.coherence_bytes),
-              static_cast<unsigned long long>(s.stale_reads),
-              s.WriteBooksClose() ? "close" : "DO NOT CLOSE");
-}
+  bool any() const {
+    return !prom_out.empty() || !ts_out.empty() || !alert_log.empty() ||
+           !trace_counters.empty();
+  }
+};
 
-// The gated telemetry outputs shared by the monolithic and sharded paths.
-// Returns false on a write failure. Appends nothing and writes nothing
-// when telemetry is off, keeping obs-free output byte-identical.
-bool EmitTelemetry(const WorkloadTelemetry& telemetry,
-                   const std::string& prom_out,
-                   const std::string& ts_out, const std::string& alert_log,
-                   const std::string& trace_counters, JsonWriter* json) {
+// Writes the telemetry artifacts. Returns false on a write failure; writes
+// nothing when telemetry is off.
+bool WriteTelemetry(const WorkloadTelemetry& telemetry,
+                    const TelemetryOutputs& outputs) {
   if (!telemetry.enabled()) {
     return true;
   }
-  json->Key("telemetry");
-  json->BeginObject();
-  json->Key("samples_taken");
-  json->UInt(telemetry.series->samples_taken());
-  json->Key("series_count");
-  json->UInt(telemetry.series->series_count());
-  json->Key("last_mark_ns");
-  json->Int(telemetry.series->last_mark().nanos());
-  if (telemetry.alerts != nullptr) {
-    json->Key("alerts");
-    json->BeginObject();
-    telemetry.alerts->AppendJson(json);
-    json->EndObject();
-  }
-  json->EndObject();
-
   if (telemetry.alerts != nullptr && !telemetry.alerts->log().empty()) {
     std::printf("alerts:\n%s", telemetry.alerts->ToLogLines().c_str());
   }
-  if (!prom_out.empty() &&
-      !WriteTextOutput(prom_out, ToPrometheusText(*telemetry.metrics))) {
+  if (!outputs.prom_out.empty() &&
+      !WriteTextOutput(outputs.prom_out,
+                       ToPrometheusText(*telemetry.metrics))) {
     return false;
   }
-  if (!ts_out.empty() &&
-      !WriteTextOutput(ts_out, telemetry.series->ToCsv())) {
+  if (!outputs.ts_out.empty() &&
+      !WriteTextOutput(outputs.ts_out, telemetry.series->ToCsv())) {
     return false;
   }
-  if (!alert_log.empty() && telemetry.alerts != nullptr &&
-      !WriteTextOutput(alert_log, telemetry.alerts->ToLogLines())) {
+  if (!outputs.alert_log.empty() && telemetry.alerts != nullptr &&
+      !WriteTextOutput(outputs.alert_log, telemetry.alerts->ToLogLines())) {
     return false;
   }
-  if (!trace_counters.empty()) {
+  if (!outputs.trace_counters.empty()) {
     JsonWriter trace;
     trace.BeginObject();
     trace.Key("traceEvents");
@@ -277,168 +234,189 @@ bool EmitTelemetry(const WorkloadTelemetry& telemetry,
     telemetry.series->AppendChromeCounterTracks(&trace, /*pid=*/1);
     trace.EndArray();
     trace.EndObject();
-    if (!WriteTextOutput(trace_counters, trace.str())) {
+    if (!WriteTextOutput(outputs.trace_counters, trace.str())) {
       return false;
     }
   }
   return true;
 }
 
-int Run(int argc, char** argv) {
-  const FlagParser flags(argc, argv);
-
-  WorkloadSpec spec;
-  if (!WorkloadSpecFromFlags(flags, &spec)) {
-    return 2;
+// Reads the scenario from flags. Returns false (after printing why) on a
+// value out of range or an unknown id.
+bool ScenarioFromFlags(const FlagParser& flags, Scenario* out) {
+  Scenario s;
+  if (!WorkloadSpecFromFlags(flags, &s.spec)) {
+    return false;
   }
-  PolicyKind policy;
   const std::string policy_id = flags.GetString("policy", "la");
-  if (!ParsePolicyKind(policy_id, &policy)) {
+  if (!ParsePolicyKind(policy_id, &s.policy)) {
     std::fprintf(stderr, "unknown policy id: %s\n", policy_id.c_str());
-    return 1;
+    return false;
   }
-  const int workers = static_cast<int>(flags.GetInt("workers", 8));
-  // Routing-tier mode (docs/ROUTING.md): --routers=N fronts the platform
-  // with N load-balancer replicas instead of routing directly.
-  const int routers = static_cast<int>(flags.GetInt("routers", 0));
-  RouterTierConfig tier_config;
-  tier_config.routers = routers;
+  s.workers = static_cast<int>(flags.GetInt("workers", 8));
+  if (s.workers < 1) {
+    std::fprintf(stderr, "--workers=%d is out of range: need >= 1\n",
+                 s.workers);
+    return false;
+  }
+  // --shards>=1 picks the thread count and the sharded defaults: 8 groups
+  // of --group_routers routers. Without it, one group behind --routers.
+  const int shards = static_cast<int>(flags.GetInt("shards", 0));
+  const bool sharded = shards >= 1;
+  s.shards = sharded ? shards : 1;
+  s.groups = static_cast<int>(flags.GetInt("groups", sharded ? 8 : 1));
+  if (shards < 0 || s.groups < 1) {
+    std::fprintf(stderr, "--shards and --groups are out of range: need "
+                         "shards >= 0 and groups >= 1\n");
+    return false;
+  }
+  if (sharded && flags.Has("routers")) {
+    std::fprintf(stderr,
+                 "error: --routers does not apply to --shards (use "
+                 "--group_routers)\n");
+    return false;
+  }
+  s.tier.routers =
+      static_cast<int>(sharded ? flags.GetInt("group_routers", 2)
+                               : flags.GetInt("routers", 0));
+  if (s.tier.routers < 0) {
+    std::fprintf(stderr, "router count %d is out of range: need >= 0\n",
+                 s.tier.routers);
+    return false;
+  }
   const std::string dispatch_id = flags.GetString(
-      "dispatch", std::string(DispatchModeId(tier_config.dispatch)));
-  if (!ParseDispatchMode(dispatch_id, &tier_config.dispatch)) {
+      "dispatch", std::string(DispatchModeId(s.tier.dispatch)));
+  if (!ParseDispatchMode(dispatch_id, &s.tier.dispatch)) {
     std::fprintf(stderr, "unknown dispatch mode: %s (try: color spray)\n",
                  dispatch_id.c_str());
-    return 1;
+    return false;
   }
-  tier_config.sync_lag =
-      SimTime::FromMillis(flags.GetDouble("sync_lag_ms", 0));
-  tier_config.hop_latency = SimTime::FromMicros(
-      flags.GetDouble("hop_us", tier_config.hop_latency.micros()));
-  // Sharded-engine mode: --shards>=1 runs the workload on the parallel
-  // engine; the group tiers reuse the dispatch/sync_lag flags above.
-  const int shards = static_cast<int>(flags.GetInt("shards", 0));
-  ShardedWorkloadConfig sharded_config;
-  sharded_config.shards = shards;
-  sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
-  sharded_config.routers_per_group =
-      static_cast<int>(flags.GetInt("group_routers", 2));
-  sharded_config.group_sync_lag = tier_config.sync_lag;
-  sharded_config.group_dispatch = tier_config.dispatch;
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
-  slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
-  slo.top_colors =
-      static_cast<std::size_t>(flags.GetInt("top_colors", 8));
-  const std::string sweep_csv = flags.GetString("sweep", "");
-  const bool dump_samples = flags.GetBool("dump_samples", false);
-  const std::string out_path = flags.GetString("out", "BENCH_slo.json");
-  PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.cache.per_instance_capacity = static_cast<Bytes>(
-      flags.GetDouble("cache_mb",
-                      static_cast<double>(
-                          platform_config.cache.per_instance_capacity) /
-                          static_cast<double>(kMiB)) *
+  s.tier.sync_lag = SimTime::FromMillis(flags.GetDouble("sync_lag_ms", 0));
+  s.tier.hop_latency = SimTime::FromMicros(
+      flags.GetDouble("hop_us", s.tier.hop_latency.micros()));
+
+  s.slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
+  s.slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
+  s.slo.top_colors = static_cast<std::size_t>(flags.GetInt("top_colors", 8));
+
+  PlatformConfig& platform = s.platform;
+  Bytes& cache_bytes = platform.cache.per_instance_capacity;
+  cache_bytes = static_cast<Bytes>(
+      flags.GetDouble("cache_mb", static_cast<double>(cache_bytes) /
+                                      static_cast<double>(kMiB)) *
       static_cast<double>(kMiB));
-  // Dispatch binding (docs/DISPATCH.md): --dispatch_mode=push keeps
-  // route-time binding; pull/hybrid late-bind via per-color pending queues
-  // with budget-gated locality-aware stealing.
+  // Dispatch binding (docs/DISPATCH.md): push binds at route time;
+  // pull/hybrid late-bind via per-color pending queues with budget-gated
+  // locality-aware stealing.
   const std::string dispatch_mode_id = flags.GetString(
-      "dispatch_mode",
-      std::string(FaasDispatchModeId(platform_config.dispatch_mode)));
-  if (!ParseFaasDispatchMode(dispatch_mode_id,
-                             &platform_config.dispatch_mode)) {
-    std::fprintf(stderr,
-                 "unknown dispatch_mode: %s (try: push pull hybrid)\n",
+      "dispatch_mode", std::string(FaasDispatchModeId(platform.dispatch_mode)));
+  if (!ParseFaasDispatchMode(dispatch_mode_id, &platform.dispatch_mode)) {
+    std::fprintf(stderr, "unknown dispatch_mode: %s (try: push pull hybrid)\n",
                  dispatch_mode_id.c_str());
-    return 1;
+    return false;
   }
-  platform_config.steal_budget = static_cast<int>(
-      flags.GetInt("steal_budget", platform_config.steal_budget));
+  platform.steal_budget = static_cast<int>(
+      flags.GetInt("steal_budget", platform.steal_budget));
 
   // Stateful storage tier (docs/STORAGE.md). --coherence=off (the default)
   // leaves the layer out of the platform entirely.
-  const std::string coherence_id = flags.GetString(
-      "coherence", std::string(CoherenceModeId(platform_config.storage.mode)));
-  if (!ParseCoherenceMode(coherence_id, &platform_config.storage.mode)) {
+  StorageConfig& storage = platform.storage;
+  const std::string coherence_id =
+      flags.GetString("coherence", std::string(CoherenceModeId(storage.mode)));
+  if (!ParseCoherenceMode(coherence_id, &storage.mode)) {
     std::fprintf(stderr,
                  "unknown coherence mode: %s (try: off write-through "
                  "write-back causal)\n",
                  coherence_id.c_str());
-    return 1;
+    return false;
   }
-  platform_config.storage.max_dirty_age = SimTime::FromMillis(flags.GetDouble(
-      "dirty_age_ms", platform_config.storage.max_dirty_age.millis()));
-  platform_config.storage.staleness_bound =
-      SimTime::FromMillis(flags.GetDouble(
-          "staleness_ms", platform_config.storage.staleness_bound.millis()));
-  platform_config.storage.ae_lag = SimTime::FromMillis(
-      flags.GetDouble("ae_lag_ms", platform_config.storage.ae_lag.millis()));
-  const int storage_tiers =
-      static_cast<int>(flags.GetInt("storage_tiers", 1));
-  platform_config.storage.tiers.two_tier = storage_tiers >= 2;
-  platform_config.storage.tiers.fast_capacity = static_cast<Bytes>(
-      flags.GetDouble("fast_mb",
-                      static_cast<double>(
-                          platform_config.storage.tiers.fast_capacity) /
-                          static_cast<double>(kMiB)) *
+  storage.max_dirty_age = SimTime::FromMillis(
+      flags.GetDouble("dirty_age_ms", storage.max_dirty_age.millis()));
+  storage.staleness_bound = SimTime::FromMillis(
+      flags.GetDouble("staleness_ms", storage.staleness_bound.millis()));
+  storage.ae_lag = SimTime::FromMillis(
+      flags.GetDouble("ae_lag_ms", storage.ae_lag.millis()));
+  const std::int64_t storage_tiers = flags.GetInt("storage_tiers", 1);
+  if (storage_tiers != 1 && storage_tiers != 2) {
+    std::fprintf(stderr, "--storage_tiers=%lld is out of range: need 1 or 2\n",
+                 static_cast<long long>(storage_tiers));
+    return false;
+  }
+  storage.tiers.two_tier = storage_tiers == 2;
+  storage.tiers.fast_capacity = static_cast<Bytes>(
+      flags.GetDouble("fast_mb", static_cast<double>(
+                                     storage.tiers.fast_capacity) /
+                                     static_cast<double>(kMiB)) *
       static_cast<double>(kMiB));
 
-  // Telemetry flags (docs/OBSERVABILITY.md).
-  WorkloadObsConfig obs;
-  obs.sample_every =
+  // Telemetry (docs/OBSERVABILITY.md).
+  s.obs.sample_every =
       SimTime::FromMillis(flags.GetDouble("sample_every_ms", 0));
   const std::string alerts_spec = flags.GetString("alerts", "");
-  const std::string prom_out = flags.GetString("prom_out", "");
-  const std::string ts_out = flags.GetString("ts_out", "");
-  const std::string alert_log = flags.GetString("alert_log", "");
-  const std::string trace_counters = flags.GetString("trace_counters", "");
-  const bool profile = flags.GetBool("profile", false);
-
-  // Global re-balancer flags (docs/PLANNER.md). --plan_every_ms=0 (the
-  // default) leaves the planner off and the run byte-identical to a
-  // planner-free build.
-  PlannerConfig planner_config;
-  planner_config.plan_every =
-      SimTime::FromMillis(flags.GetDouble("plan_every_ms", 0));
-  planner_config.split_threshold = flags.GetDouble(
-      "split_threshold", planner_config.split_threshold);
-  planner_config.move_alpha =
-      flags.GetDouble("move_alpha", planner_config.move_alpha);
-  planner_config.max_split = static_cast<int>(
-      flags.GetInt("max_split", planner_config.max_split));
-  planner_config.seed = spec.seed;
   if (!alerts_spec.empty()) {
     std::vector<std::string> rule_errors;
-    obs.alert_rules = ParseAlertRules(alerts_spec, &rule_errors);
+    s.obs.alert_rules = ParseAlertRules(alerts_spec, &rule_errors);
     for (const std::string& error : rule_errors) {
       std::fprintf(stderr, "warning: %s\n", error.c_str());
     }
-    if (obs.alert_rules.empty()) {
+    if (s.obs.alert_rules.empty()) {
       std::fprintf(stderr, "no valid --alerts rules\n");
-      return 1;
+      return false;
     }
-    if (!obs.enabled()) {
+    if (!s.obs.enabled()) {
       // Alerts need windows to evaluate; default to 100ms sampling.
-      obs.sample_every = SimTime::FromMillis(100);
+      s.obs.sample_every = SimTime::FromMillis(100);
     }
   }
+  s.profile = flags.GetBool("profile", false);
 
+  // Global re-balancer (docs/PLANNER.md). --plan_every_ms=0 (the default)
+  // leaves the planner off.
+  s.planner.plan_every =
+      SimTime::FromMillis(flags.GetDouble("plan_every_ms", 0));
+  s.planner.split_threshold =
+      flags.GetDouble("split_threshold", s.planner.split_threshold);
+  s.planner.move_alpha = flags.GetDouble("move_alpha", s.planner.move_alpha);
+  s.planner.max_split =
+      static_cast<int>(flags.GetInt("max_split", s.planner.max_split));
+  s.planner.seed = s.spec.seed;
+  *out = std::move(s);
+  return true;
+}
+
+int Run(int argc, char** argv) {
+  const FlagParser flags(argc, argv);
+  Scenario scenario;
+  if (!ScenarioFromFlags(flags, &scenario)) {
+    return 2;
+  }
+  const std::string sweep_csv = flags.GetString("sweep", "");
+  const bool dump_samples = flags.GetBool("dump_samples", false);
+  const std::string out_path = flags.GetString("out", "BENCH_slo.json");
+  const TelemetryOutputs outputs{flags.GetString("prom_out", ""),
+                                 flags.GetString("ts_out", ""),
+                                 flags.GetString("alert_log", ""),
+                                 flags.GetString("trace_counters", "")};
   if (flags.ReportUnqueried()) {
     return 2;
   }
-  if (shards >= 1 && !sweep_csv.empty()) {
-    std::fprintf(stderr, "--sweep is not supported with --shards\n");
-    return 1;
-  }
-  if (obs.enabled() && !sweep_csv.empty()) {
-    std::fprintf(stderr, "error: telemetry flags do not apply to --sweep\n");
+  if (outputs.any() && !scenario.obs.enabled()) {
+    std::fprintf(stderr, "error: telemetry outputs need --sample_every_ms "
+                         "or --alerts\n");
     return 2;
   }
-  if (shards >= 1 && routers > 0) {
-    std::fprintf(stderr,
-                 "error: --routers does not apply to --shards (use "
-                 "--group_routers)\n");
-    return 2;
+  std::vector<double> rates;
+  if (!sweep_csv.empty()) {
+    if (!ParseRateCsv(sweep_csv, &rates)) {
+      std::fprintf(stderr, "--sweep=%s: need a list of positive rates\n",
+                   sweep_csv.c_str());
+      return 2;
+    }
+    if (scenario.obs.enabled()) {
+      std::fprintf(stderr,
+                   "error: telemetry flags do not apply to --sweep\n");
+      return 2;
+    }
   }
 
   JsonWriter json;
@@ -447,368 +425,54 @@ int Run(int argc, char** argv) {
   json.String("palette-bench-v1");
   json.Key("bench");
   json.String("loadgen");
-  json.Key("policy");
-  json.String(PolicyKindId(policy));
-  json.Key("workers");
-  json.Int(workers);
-  json.Key("deadline_ms");
-  json.Double(slo.deadline.millis());
-  json.Key("warmup_s");
-  json.Double(slo.warmup.seconds());
-  json.Key("spec");
-  AppendWorkloadSpecJson(spec, &json);
-  json.Key("dispatch_mode");
-  json.String(FaasDispatchModeId(platform_config.dispatch_mode));
-  if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-    json.Key("steal_budget");
-    json.Int(platform_config.steal_budget);
-  }
-  if (platform_config.storage.enabled()) {
-    json.Key("storage_config");
-    json.BeginObject();
-    json.Key("coherence");
-    json.String(CoherenceModeId(platform_config.storage.mode));
-    json.Key("dirty_age_ms");
-    json.Double(platform_config.storage.max_dirty_age.millis());
-    json.Key("staleness_ms");
-    json.Double(platform_config.storage.staleness_bound.millis());
-    json.Key("ae_lag_ms");
-    json.Double(platform_config.storage.ae_lag.millis());
-    json.Key("two_tier");
-    json.Bool(platform_config.storage.tiers.two_tier);
-    if (platform_config.storage.tiers.two_tier) {
-      json.Key("fast_mb");
-      json.Double(
-          static_cast<double>(platform_config.storage.tiers.fast_capacity) /
-          static_cast<double>(kMiB));
-    }
-    json.EndObject();
-  }
-  if (routers > 0 && shards < 1) {
-    json.Key("routers");
-    json.Int(routers);
-    json.Key("dispatch");
-    json.String(DispatchModeId(tier_config.dispatch));
-    json.Key("sync_lag_ms");
-    json.Double(tier_config.sync_lag.millis());
-    json.Key("hop_us");
-    json.Double(tier_config.hop_latency.micros());
-  }
-  if (planner_config.enabled()) {
-    json.Key("planner");
-    json.BeginObject();
-    json.Key("plan_every_ms");
-    json.Double(planner_config.plan_every.millis());
-    json.Key("move_alpha");
-    json.Double(planner_config.move_alpha);
-    json.Key("split_threshold");
-    json.Double(planner_config.split_threshold);
-    json.Key("max_split");
-    json.Int(planner_config.max_split);
-    json.EndObject();
-  }
+  AppendScenarioJson(scenario, &json);
+  const std::string policy_id(PolicyKindId(scenario.policy));
 
-  if (shards >= 1) {
-    // Sharded run: one topology, its groups spread over `shards` threads.
-    json.Key("sharded");
-    json.BeginObject();
-    json.Key("shards");
-    json.Int(shards);
-    json.Key("groups");
-    json.Int(sharded_config.groups);
-    json.Key("group_routers");
-    json.Int(sharded_config.routers_per_group);
-    json.Key("dispatch");
-    json.String(DispatchModeId(sharded_config.group_dispatch));
-    json.Key("sync_lag_ms");
-    json.Double(sharded_config.group_sync_lag.millis());
-    json.EndObject();
-
-    std::printf("== loadgen (sharded): %s arrivals at %.0f rps, %s policy, "
-                "%d workers across %d groups x %d routers, %d shard(s) "
-                "==\n\n",
-                std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
-                spec.arrival.rate_per_sec, policy_id.c_str(), workers,
-                sharded_config.groups, sharded_config.routers_per_group,
-                shards);
-    sharded_config.obs = obs;
-    sharded_config.profile = profile;
-    sharded_config.planner = planner_config;
-    const ShardedRunResult run = RunShardedWorkload(
-        spec, policy, workers, sharded_config, slo, platform_config);
-    std::printf("%s\n", SloReportTable(run.report).c_str());
-    std::printf("samples digest: %016llx, engine digest: %016llx, sim "
-                "events: %llu, wall: %.3f s, books %s\n",
-                static_cast<unsigned long long>(run.samples_digest),
-                static_cast<unsigned long long>(run.engine_digest),
-                static_cast<unsigned long long>(run.sim_events),
-                run.wall_seconds, run.books_close ? "close" : "DO NOT CLOSE");
-
-    json.Key("sample_count");
-    json.UInt(run.driver_submitted);
-    json.Key("samples_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.samples_digest)));
-    json.Key("engine_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.engine_digest)));
-    json.Key("sim_events");
-    json.UInt(run.sim_events);
-    json.Key("wall_seconds");
-    json.Double(run.wall_seconds);
-    json.Key("cold_starts");
-    json.UInt(run.cold_starts);
-    json.Key("retries");
-    json.UInt(run.retries);
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
-                  static_cast<unsigned long long>(run.pulls),
-                  static_cast<unsigned long long>(run.steals),
-                  static_cast<unsigned long long>(run.steal_bytes));
-      json.Key("pulls");
-      json.UInt(run.pulls);
-      json.Key("steals");
-      json.UInt(run.steals);
-      json.Key("steal_bytes");
-      json.UInt(run.steal_bytes);
-    }
-    if (platform_config.storage.enabled()) {
-      PrintStorageSummary(run.storage);
-      json.Key("storage");
-      AppendStorageStatsJson(run.storage, &json);
-    }
-    if (planner_config.enabled()) {
-      std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, "
-                  "merges: %llu, moved: %llu bytes\n",
-                  static_cast<unsigned long long>(run.planner_rounds),
-                  static_cast<unsigned long long>(run.planner_moves),
-                  static_cast<unsigned long long>(run.planner_splits),
-                  static_cast<unsigned long long>(run.planner_merges),
-                  static_cast<unsigned long long>(run.planner_moved_bytes));
-      json.Key("planner_result");
-      json.BeginObject();
-      json.Key("rounds");
-      json.UInt(run.planner_rounds);
-      json.Key("moves");
-      json.UInt(run.planner_moves);
-      json.Key("splits");
-      json.UInt(run.planner_splits);
-      json.Key("merges");
-      json.UInt(run.planner_merges);
-      json.Key("moved_bytes");
-      json.UInt(run.planner_moved_bytes);
-      json.EndObject();
-    }
-    json.Key("books");
-    json.BeginObject();
-    json.Key("submitted");
-    json.UInt(run.driver_submitted);
-    json.Key("group_submitted");
-    json.UInt(run.group_submitted);
-    json.Key("completed");
-    json.UInt(run.group_completed);
-    json.Key("dropped");
-    json.UInt(run.group_dropped);
-    json.Key("abandoned");
-    json.UInt(run.group_abandoned);
-    json.Key("rejections");
-    json.UInt(run.group_rejections);
-    json.Key("close");
-    json.Bool(run.books_close);
-    json.EndObject();
-    json.Key("report");
-    AppendSloReportJson(run.report, &json);
-    if (profile) {
-      json.Key("engine_profile");
-      AppendEngineProfileJson(run.profile, &json);
-    }
-    if (!EmitTelemetry(run.telemetry, prom_out, ts_out, alert_log,
-                       trace_counters, &json)) {
-      return 1;
-    }
-    json.EndObject();
-    if (!WriteTextFile(out_path, json.str())) {
-      return 1;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
-
-  const auto run_spec = [&](const WorkloadSpec& at_spec) {
-    const WorkloadObsConfig* obs_ptr = obs.enabled() ? &obs : nullptr;
-    const PlannerConfig* planner_ptr =
-        planner_config.enabled() ? &planner_config : nullptr;
-    return routers > 0
-               ? RunRouterWorkload(at_spec, policy, workers, tier_config,
-                                   slo, platform_config, nullptr, obs_ptr,
-                                   planner_ptr)
-               : RunWorkload(at_spec, policy, workers, slo, platform_config,
-                             nullptr, obs_ptr, planner_ptr);
-  };
-
-  if (sweep_csv.empty()) {
-    // Single run at the spec's rate.
+  if (rates.empty()) {
     std::printf("== loadgen: %s arrivals at %.0f rps, %s policy, %d "
-                "workers%s ==\n\n",
-                std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
-                spec.arrival.rate_per_sec, policy_id.c_str(), workers,
-                routers > 0
-                    ? StrFormat(", %d %s routers", routers,
-                                dispatch_id.c_str()).c_str()
-                    : "");
-    const WorkloadRunResult run = run_spec(spec);
-    std::printf("%s\n", SloReportTable(run.report).c_str());
-    std::printf("samples: %zu, digest: %016llx, sim events: %llu, cold "
-                "starts: %llu, platform drops: %llu\n",
-                run.samples.size(),
-                static_cast<unsigned long long>(run.samples_digest),
-                static_cast<unsigned long long>(run.sim_events),
-                static_cast<unsigned long long>(run.cold_starts),
-                static_cast<unsigned long long>(run.platform_dropped));
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
-                  static_cast<unsigned long long>(run.pulls),
-                  static_cast<unsigned long long>(run.steals),
-                  static_cast<unsigned long long>(run.steal_bytes));
-    }
-
-    json.Key("sample_count");
-    json.UInt(run.samples.size());
-    json.Key("samples_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.samples_digest)));
-    json.Key("sim_events");
-    json.UInt(run.sim_events);
-    json.Key("cold_starts");
-    json.UInt(run.cold_starts);
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      json.Key("pulls");
-      json.UInt(run.pulls);
-      json.Key("steals");
-      json.UInt(run.steals);
-      json.Key("steal_bytes");
-      json.UInt(run.steal_bytes);
-    }
-    json.Key("platform_dropped");
-    json.UInt(run.platform_dropped);
-    if (platform_config.storage.enabled()) {
-      PrintStorageSummary(run.storage);
-      json.Key("storage");
-      AppendStorageStatsJson(run.storage, &json);
-    }
-    json.Key("books");
-    json.BeginObject();
-    json.Key("submitted");
-    json.UInt(run.platform_submitted);
-    json.Key("completed");
-    json.UInt(run.platform_completed);
-    json.Key("dropped");
-    json.UInt(run.platform_dropped);
-    json.Key("abandoned");
-    json.UInt(run.platform_abandoned);
-    json.Key("close");
-    json.Bool(run.platform_submitted == run.platform_completed +
-                                            run.platform_dropped +
-                                            run.platform_abandoned);
-    json.EndObject();
-    if (planner_config.enabled()) {
-      std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, "
-                  "merges: %llu, moved: %llu bytes, imbalance: %.3f\n",
-                  static_cast<unsigned long long>(run.planner_rounds),
-                  static_cast<unsigned long long>(run.planner_moves),
-                  static_cast<unsigned long long>(run.planner_splits),
-                  static_cast<unsigned long long>(run.planner_merges),
-                  static_cast<unsigned long long>(run.planner_moved_bytes),
-                  run.routing_imbalance);
-      json.Key("planner_result");
-      json.BeginObject();
-      json.Key("rounds");
-      json.UInt(run.planner_rounds);
-      json.Key("moves");
-      json.UInt(run.planner_moves);
-      json.Key("splits");
-      json.UInt(run.planner_splits);
-      json.Key("merges");
-      json.UInt(run.planner_merges);
-      json.Key("moved_bytes");
-      json.UInt(run.planner_moved_bytes);
-      json.Key("routing_imbalance");
-      json.Double(run.routing_imbalance);
-      json.Key("round_objectives");
-      json.BeginArray();
-      for (const PlanRound& round : run.plan_rounds) {
-        json.BeginObject();
-        json.Key("round");
-        json.UInt(round.round);
-        json.Key("t_ms");
-        json.Double(round.at.millis());
-        json.Key("objective_before");
-        json.Double(round.objective_before);
-        json.Key("objective_after");
-        json.Double(round.objective_after);
-        json.Key("moves");
-        json.UInt(round.moves);
-        json.Key("splits");
-        json.UInt(round.splits);
-        json.Key("merges");
-        json.UInt(round.merges);
-        json.EndObject();
-      }
-      json.EndArray();
-      json.EndObject();
-    }
-    if (routers > 0) {
-      std::printf("router tier: routes: %llu, stale: %llu, misroutes: %llu, "
-                  "forwards: %llu, recolored: %llu\n",
-                  static_cast<unsigned long long>(run.router_routes),
-                  static_cast<unsigned long long>(run.router_stale_routes),
-                  static_cast<unsigned long long>(run.router_misroutes),
-                  static_cast<unsigned long long>(run.router_forwards),
-                  static_cast<unsigned long long>(run.router_recolored));
-      json.Key("router");
-      json.BeginObject();
-      json.Key("routes");
-      json.UInt(run.router_routes);
-      json.Key("stale_routes");
-      json.UInt(run.router_stale_routes);
-      json.Key("misroutes");
-      json.UInt(run.router_misroutes);
-      json.Key("forwards");
-      json.UInt(run.router_forwards);
-      json.Key("recolored");
-      json.UInt(run.router_recolored);
-      json.EndObject();
-    }
-    json.Key("report");
-    AppendSloReportJson(run.report, &json);
+                "workers in %d group(s) x %d router(s), %d shard(s) ==\n\n",
+                std::string(ArrivalKindId(scenario.spec.arrival.kind)).c_str(),
+                scenario.spec.arrival.rate_per_sec, policy_id.c_str(),
+                scenario.workers, scenario.groups, scenario.tier.routers,
+                scenario.shards);
+    const ScenarioResult run = RunScenario(scenario);
+    PrintRunSummary(scenario, run);
+    AppendScenarioResultJson(scenario, run, &json);
     if (dump_samples) {
       json.Key("samples");
       AppendSamplesJson(run.samples, &json);
     }
-    if (!EmitTelemetry(run.telemetry, prom_out, ts_out, alert_log,
-                       trace_counters, &json)) {
+    if (!WriteTelemetry(run.telemetry, outputs)) {
       return 1;
     }
   } else {
-    // Rate step-sweep: fresh platform per rate, max sustainable = highest
-    // rate whose p99 meets the deadline with nothing shed.
-    const std::vector<double> rates = ParseRateCsv(sweep_csv);
-    if (rates.empty()) {
-      std::fprintf(stderr, "empty --sweep rate list\n");
-      return 1;
-    }
+    // Rate step-sweep: a fresh run per rate, each written in the one result
+    // schema; max sustainable = the highest rate whose p99 meets the
+    // deadline with nothing shed.
     std::printf("== loadgen rate sweep: %s policy, %d workers, deadline "
                 "%.0f ms ==\n\n",
-                policy_id.c_str(), workers, slo.deadline.millis());
-    std::vector<std::uint64_t> digests;
-    const RateSweepResult sweep =
-        SweepRates(rates, [&](double rate) {
-          WorkloadSpec at_rate = spec;
-          at_rate.arrival.rate_per_sec = rate;
-          const WorkloadRunResult run = run_spec(at_rate);
-          digests.push_back(run.samples_digest);
-          return run.report;
-        });
+                policy_id.c_str(), scenario.workers,
+                scenario.slo.deadline.millis());
+    json.Key("sweep");
+    json.BeginArray();
+    const RateSweepResult sweep = SweepRates(rates, [&](double rate) {
+      Scenario at_rate = scenario;
+      at_rate.spec.arrival.rate_per_sec = rate;
+      const ScenarioResult run = RunScenario(at_rate);
+      json.BeginObject();
+      json.Key("offered_rps");
+      json.Double(rate);
+      AppendScenarioResultJson(at_rate, run, &json);
+      if (dump_samples) {
+        json.Key("samples");
+        AppendSamplesJson(run.samples, &json);
+      }
+      json.EndObject();
+      return run.report;
+    });
+    json.EndArray();
+    json.Key("max_sustainable_rps");
+    json.Double(sweep.max_sustainable_rps);
 
     TablePrinter table;
     table.AddRow({"offered_rps", "completed_rps", "goodput_rps", "p50_ms",
@@ -825,24 +489,7 @@ int Run(int argc, char** argv) {
     }
     table.Print();
     std::printf("\nmax sustainable rate: %.0f rps (p99 <= %.0f ms)\n",
-                sweep.max_sustainable_rps, slo.deadline.millis());
-
-    json.Key("max_sustainable_rps");
-    json.Double(sweep.max_sustainable_rps);
-    json.Key("sweep");
-    json.BeginArray();
-    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-      json.BeginObject();
-      json.Key("offered_rps");
-      json.Double(sweep.points[i].offered_rps);
-      json.Key("samples_digest");
-      json.String(StrFormat(
-          "%016llx", static_cast<unsigned long long>(digests[i])));
-      json.Key("report");
-      AppendSloReportJson(sweep.points[i].report, &json);
-      json.EndObject();
-    }
-    json.EndArray();
+                sweep.max_sustainable_rps, scenario.slo.deadline.millis());
   }
   json.EndObject();
 

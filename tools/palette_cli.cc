@@ -224,64 +224,39 @@ int CmdTraceRouter(const FlagParser& flags, PolicyKind kind) {
       SimTime::FromMillis(flags.GetDouble("sync_lag_ms", 20));
   tier_config.hop_latency = SimTime::FromMicros(
       flags.GetDouble("hop_us", tier_config.hop_latency.micros()));
-  tier_config.policy = kind;
 
-  WorkloadSpec spec;
+  Scenario scenario;
+  scenario.policy = kind;
+  scenario.tier = tier_config;
+  WorkloadSpec& spec = scenario.spec;
   spec.arrival.rate_per_sec = flags.GetDouble("rate", 300);
   spec.mix.color_count =
       static_cast<std::uint64_t>(flags.GetInt("colors", 64));
   spec.driver.duration =
       SimTime::FromSeconds(flags.GetDouble("duration", 2));
   spec.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
-  tier_config.seed = spec.seed;
-  const int workers = static_cast<int>(flags.GetInt("workers", 8));
+  scenario.workers = static_cast<int>(flags.GetInt("workers", 8));
   const double crash_s = flags.GetDouble("crash_s", 1);
-
-  PlatformConfig config = DefaultWorkloadPlatformConfig();
-  config.retry.max_attempts = 3;
-  config.retry.initial_backoff = SimTime::FromMillis(5);
-
-  Simulator sim;
-  FaasPlatform platform(&sim, kind, spec.seed, config);
-  platform.AddWorkers(workers);
-  RouterTier tier(&platform, tier_config);
-
-  TraceRecorder recorder;
-  MetricsRegistry metrics;
-  platform.set_trace_recorder(&recorder);
-  tier.set_trace_recorder(&recorder);
+  scenario.platform.retry.max_attempts = 3;
+  scenario.platform.retry.initial_backoff = SimTime::FromMillis(5);
 
   // Crash one worker mid-run: replicas route on stale views for
   // sync_lag, and each misrouted attempt shows as "hop+forward".
   if (crash_s > 0) {
-    sim.At(SimTime::FromSeconds(crash_s),
-           [&platform]() { platform.CrashWorker("w0"); });
+    scenario.faults.push_back(
+        {0, {SimTime::FromSeconds(crash_s), FaultKind::kCrash, "w0"}});
   }
-
-  Rng seeder(spec.seed);
-  const std::uint64_t arrival_seed = seeder.Next();
-  const std::uint64_t driver_seed = seeder.Next();
-  OpenLoopDriver driver(&platform,
-                        MakeArrivalProcess(spec.arrival, arrival_seed),
-                        InvocationMix(spec.mix), spec.driver, driver_seed);
-  driver.set_invoker(
-      [&tier](InvocationSpec invocation,
-              FaasPlatform::CompletionCallback on_complete) {
-        return tier.Invoke(std::move(invocation), std::move(on_complete));
-      });
-  driver.Start();
-  sim.Run();
+  TraceRecorder recorder;
+  scenario.obs.trace = &recorder;
+  const ScenarioResult run = RunScenario(scenario);
 
   std::printf("%s\n", recorder.PhaseBreakdownTable().c_str());
-  platform.ExportMetrics(&metrics);
-  tier.ExportMetrics(&metrics);
-  std::printf("%s\n", metrics.ToTable().c_str());
   std::printf("router tier: %llu routes, %llu stale, %llu misroutes, "
               "%llu forwards\n",
-              static_cast<unsigned long long>(tier.routes()),
-              static_cast<unsigned long long>(tier.stale_routes()),
-              static_cast<unsigned long long>(tier.misroutes()),
-              static_cast<unsigned long long>(tier.forwards()));
+              static_cast<unsigned long long>(run.router_routes),
+              static_cast<unsigned long long>(run.router_stale_routes),
+              static_cast<unsigned long long>(run.router_misroutes),
+              static_cast<unsigned long long>(run.router_forwards));
 
   const std::string out = flags.GetString("out", "TRACE_router.json");
   if (!recorder.WriteChromeTrace(out)) {
@@ -464,18 +439,15 @@ int CmdMonitor(const FlagParser& flags) {
     }
   }
 
-  const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  WorkloadRunResult result;
   const int routers = static_cast<int>(flags.GetInt("routers", 0));
-  if (routers > 0) {
-    RouterTierConfig tier_config;
-    tier_config.routers = routers;
-    result = RunRouterWorkload(spec, kind, workers, tier_config, slo,
-                               platform_config, nullptr, &obs);
-  } else {
-    result = RunWorkload(spec, kind, workers, slo, platform_config, nullptr,
-                         &obs);
-  }
+  Scenario scenario;
+  scenario.spec = spec;
+  scenario.policy = kind;
+  scenario.workers = workers;
+  scenario.slo = slo;
+  scenario.tier.routers = routers;
+  scenario.obs = obs;
+  const ScenarioResult result = RunScenario(scenario);
   if (!result.telemetry.enabled()) {
     std::fprintf(stderr, "telemetry did not come up\n");
     return 1;
