@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the core data structures on the
-// load balancer's hot path: hashing, ring lookups, policy routing, and the
-// HyperLogLog sketch. These bound the per-invocation overhead Palette adds
+// load balancer's hot path: hashing, ring lookups, policy routing, the
+// HyperLogLog sketch, and a storage-tier write with its anti-entropy replay. These bound the per-invocation overhead Palette adds
 // to a FaaS frontend.
 //
 // On top of the google-benchmark suite, main() times three summary
@@ -21,14 +21,17 @@
 
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
+#include "src/cache/faast_cache.h"
 #include "src/core/bucket_hashing_policy.h"
 #include "src/core/least_assigned_policy.h"
 #include "src/core/palette_load_balancer.h"
 #include "src/core/policy_factory.h"
 #include "src/hash/consistent_hash_ring.h"
 #include "src/hash/hash.h"
+#include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sketch/hyperloglog.h"
+#include "src/storage/storage_layer.h"
 #include "src/workload/spec.h"
 
 namespace palette {
@@ -179,6 +182,43 @@ void BM_SimulatorEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorEvents)->Arg(100000);
+
+// One storage-tier write with its anti-entropy replay, on a cluster of
+// `peers` instances (docs/STORAGE.md#anti-entropy-cost): the write-back
+// write at its home, then the drain of the one replay event that probes
+// every other peer's shard and of the write's flush timer. No peer holds a
+// copy, as for most writes of a color-routed workload.
+void BM_StorageWrite(benchmark::State& state) {
+  Simulator sim;
+  Network network(&sim, NetworkConfig{});
+  FaastCache cache;
+  StorageConfig config;
+  config.mode = CoherenceMode::kWriteBack;
+  StorageLayer layer(&sim, &network, &cache, config, "store");
+  network.AddNode("store");
+  const int peers = static_cast<int>(state.range(0));
+  for (int i = 0; i < peers; ++i) {
+    const std::string name = StrFormat("w%d", i);
+    network.AddNode(name);
+    cache.AddInstance(name);
+    layer.OnInstanceJoin(name);
+  }
+  std::vector<std::string> objects;
+  for (int i = 0; i < 1024; ++i) {
+    objects.push_back(StrFormat("c%d___o%d", i % 64, i / 64));
+  }
+  const InstanceId home = InternInstance("w0");
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::string& object = objects[i++ & 1023];
+    cache.Put(home, object, 4096);
+    benchmark::DoNotOptimize(layer.OnWrite("w0", "w0", object, 4096,
+                                           std::nullopt, {}, sim.Now()));
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StorageWrite)->Arg(16)->Arg(64);
 
 // Timed summary figures for BENCH_core.json.
 

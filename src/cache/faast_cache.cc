@@ -214,8 +214,7 @@ std::vector<FaastCache::ResidentObject> FaastCache::PeekKeyObjects(
   return objects;
 }
 
-Bytes FaastCache::KeyBytes(const std::string& instance,
-                           std::string_view key) const {
+Bytes FaastCache::KeyBytes(InstanceId instance, std::string_view key) const {
   const Shard* shard = FindShard(instance);
   if (shard == nullptr) {
     return 0;

@@ -101,9 +101,15 @@ class FaastCache {
                 Bytes size);
 
   // True iff `object_name` is resident in `instance`'s shard. Never touches
-  // recency or stats (coherence probes must not perturb LRU order).
+  // recency or stats (coherence probes must not perturb LRU order). The id
+  // overload finds the shard by index (anti-entropy probes every peer).
   bool ContainsLocal(const std::string& instance,
                      const std::string& object_name) const;
+  bool ContainsLocal(InstanceId instance,
+                     const std::string& object_name) const {
+    const Shard* shard = FindShard(instance);
+    return shard != nullptr && shard->lru.Contains(object_name);
+  }
 
   // Reads an object from `reader`: its own shard first, then the shard of
   // the object's home, the std::optional<InstanceId> `home_of()` returns.
@@ -144,7 +150,7 @@ class FaastCache {
   // Bytes resident in `instance`'s shard under hashing key `key` (the sum
   // of PeekKeyObjects' sizes), read from the shard's key index in O(1).
   // The planner's snapshot prices every color's move with it.
-  Bytes KeyBytes(const std::string& instance, std::string_view key) const;
+  Bytes KeyBytes(InstanceId instance, std::string_view key) const;
   // True iff at least one object with hashing key `key` is resident in
   // `instance`'s shard. An index lookup; never touches recency or stats
   // (the pull-dispatch claim path probes residency per idle worker).

@@ -1172,16 +1172,18 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
   ++planner_rounds_;
   last_plan_objective_ = plan.objective_after;
 
-  // Charge migration costs for every moved or merged color the plan
-  // re-homes: its cached objects leave its home before the plan (where they
-  // sit) for its home after. A move the policy does not apply (the target
-  // raced a crash, or a hashing policy has no table) hauls nothing.
+  // Charge migration costs for every color the plan re-homes (a move, a
+  // merge, or a split whose primary is not the current home): its cached
+  // objects leave its home before the plan (where they sit) for its home
+  // after. A move the policy does not apply (the target raced a crash, or a
+  // hashing policy has no table) hauls nothing.
   struct Migration {
     const Color* color;
     InstanceId from;
   };
   std::vector<Migration> migrations;
-  migrations.reserve(plan.merges.size() + plan.moves.size());
+  migrations.reserve(plan.merges.size() + plan.moves.size() +
+                     plan.splits.size());
   const auto note_home = [&](const Color& color) {
     if (const auto from = lb_.PeekColorId(color)) {
       migrations.push_back(Migration{&color, *from});
@@ -1192,6 +1194,9 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
   }
   for (const PlanMove& move : plan.moves) {
     note_home(move.color);
+  }
+  for (const PlanSplit& split : plan.splits) {
+    note_home(split.color);
   }
   lb_.ApplyPlan(plan);
 

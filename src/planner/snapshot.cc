@@ -41,11 +41,10 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
     const auto placement = lb.PeekColorId(name);
     if (placement.has_value()) {
       obs.placement = *placement;
-      const std::string& home = InstanceName(*placement);
-      obs.cache_bytes = platform.cache().KeyBytes(home, name);
+      obs.cache_bytes = platform.cache().KeyBytes(*placement, name);
       if (platform.storage_layer() != nullptr) {
         obs.dirty_bytes =
-            platform.storage_layer()->DirtyBytesOwnedBy(home, name);
+            platform.storage_layer()->DirtyBytesOwnedBy(*placement, name);
       }
     }
     obs.split = lb.IsSplit(name);

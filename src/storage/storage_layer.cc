@@ -1,6 +1,7 @@
 #include "src/storage/storage_layer.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace palette {
 namespace {
@@ -40,22 +41,34 @@ StorageLayer::StorageLayer(Simulator* sim, Network* network, FaastCache* cache,
       tiers_(sim, network, config.tiers, std::move(storage_node), &stats_) {}
 
 void StorageLayer::OnInstanceJoin(const std::string& instance) {
-  instances_.insert(instance);
+  const auto [it, inserted] = peers_.try_emplace(instance);
+  Peer& peer = it->second;
+  if (inserted) {
+    peer.name = &it->first;
+    peer.id = InternInstance(instance);
+    if (peer.id >= peers_by_id_.size()) {
+      peers_by_id_.resize(peer.id + 1, nullptr);
+    }
+    peers_by_id_[peer.id] = &peer;
+  }
   // A joining (or re-joining) instance starts with an empty cache and an
   // empty log cursor: the whole log replays for it after the lag. Replay
   // against an empty shard is pure cursor advancement — the mechanism the
   // restart test pins — while a restart racing in-flight records applies
   // them exactly once from seq 1.
-  applied_seq_[instance] = 0;
+  peer.applied_seq = 0;
   if (!log_.empty()) {
     sim_->At(SaturatingAdd(sim_->Now(), config_.ae_lag),
-             [this, name = instance]() { ApplyLogAt(name); });
+             [this, id = peer.id]() { ApplyLogAt(id); });
   }
 }
 
 void StorageLayer::OnInstanceLeave(const std::string& instance, bool crashed) {
-  instances_.erase(instance);
-  applied_seq_.erase(instance);
+  const auto peer = peers_.find(instance);
+  if (peer != peers_.end()) {
+    peers_by_id_[peer->second.id] = nullptr;
+    peers_.erase(peer);
+  }
   for (auto& [name, obj] : objects_) {
     obj.copies.erase(instance);
     if (obj.owner != instance) {
@@ -67,8 +80,7 @@ void StorageLayer::OnInstanceLeave(const std::string& instance, bool crashed) {
         // surfaced in the books — never silent.
         stats_.writes_lost += obj.pending_writes;
         stats_.dirty_bytes_lost += obj.pending_bytes;
-        obj.pending_writes = 0;
-        obj.pending_bytes = 0;
+        ClearPending(name, obj);
       } else {
         // Graceful drain flushes before the shard is reclaimed (the
         // network node outlives the worker, so the transfer still books).
@@ -175,8 +187,7 @@ SimTime StorageLayer::ForcedSync(const std::string& reader,
   const SimTime start = sim_->Now();
   SimTime sync_done;
   if (!obj.owner.empty() && obj.owner != reader &&
-      instances_.count(obj.owner) > 0 &&
-      cache_->ContainsLocal(obj.owner, name)) {
+      peers_.contains(obj.owner) && cache_->ContainsLocal(obj.owner, name)) {
     sync_done = network_->Transfer(obj.owner, reader, obj.size);
   } else {
     sync_done = tiers_.Read(reader, name, obj.size);
@@ -217,7 +228,7 @@ SimTime StorageLayer::OnWrite(const std::string& /*writer*/,
   }
   obj.copies[home] = CopyState{obj.version, SimTime()};
   for (const std::string& replica : fresh) {
-    if (instances_.count(replica) > 0) {  // dead replicas landed nothing
+    if (peers_.contains(replica)) {  // dead replicas landed nothing
       obj.copies[replica] = CopyState{obj.version, SimTime()};
     }
   }
@@ -246,7 +257,9 @@ SimTime StorageLayer::OnWrite(const std::string& /*writer*/,
       // dirty age. Each write arms its own timer, so the oldest pending
       // write's timer fires first and flushes everything pending — the
       // age bound is an upper bound per write.
-      ++obj.pending_writes;
+      if (obj.pending_writes++ == 0) {
+        ++dirty_keys_[std::string(FaastCache::HashKeyOf(name))];
+      }
       obj.pending_bytes += size;
       sim_->At(SaturatingAdd(now, config_.max_dirty_age), [this,
                                                            name = name]() {
@@ -261,26 +274,36 @@ SimTime StorageLayer::OnWrite(const std::string& /*writer*/,
     }
   }
 
-  // Anti-entropy: append one seq-numbered record and schedule every live
-  // peer (ordered; synchronously refreshed replicas excluded) to replay
-  // the log ae_lag later.
+  // Anti-entropy: append one seq-numbered record, and one event ae_lag
+  // later that replays the log at every peer live now, in name order (the
+  // home and the synchronously refreshed replicas excluded). Per-peer
+  // events would share one timestamp and consecutive seqs, so nothing could
+  // run between them: one event walking the list has the same effects.
   AeRecord record;
   record.seq = next_seq_++;
   record.object = name;
   record.version = obj.version;
   record.size = size;
-  record.source = home;
+  record.source = InternInstance(home);
   record.mode = mode;
   record.applies_at = SaturatingAdd(now, config_.ae_lag);
   log_.push_back(std::move(record));
   ++stats_.ae_records;
-  for (const std::string& instance : instances_) {
-    if (instance == home ||
-        std::find(fresh.begin(), fresh.end(), instance) != fresh.end()) {
-      continue;
+  std::vector<InstanceId> replay;
+  replay.reserve(peers_.size());
+  for (const auto& [instance, peer] : peers_) {
+    if (instance != home &&
+        std::find(fresh.begin(), fresh.end(), instance) == fresh.end()) {
+      replay.push_back(peer.id);
     }
+  }
+  if (!replay.empty()) {
     sim_->At(SaturatingAdd(now, config_.ae_lag),
-             [this, peer = instance]() { ApplyLogAt(peer); });
+             [this, replay = std::move(replay)]() {
+               for (const InstanceId id : replay) {
+                 ApplyLogAt(id);
+               }
+             });
   }
   return done;
 }
@@ -292,16 +315,29 @@ void StorageLayer::Flush(const std::string& from, const std::string& name,
   stats_.writes_durable += obj.pending_writes;
   stats_.dirty_bytes_flushed += obj.pending_bytes;
   ++stats_.flushes;
-  obj.pending_writes = 0;
-  obj.pending_bytes = 0;
+  ClearPending(name, obj);
   if (trace_ != nullptr) {
     trace_->RecordStorage(StorageTrace{name, from, StorageOp::kFlush,
                                        obj.size, start, store_done});
   }
 }
 
+void StorageLayer::ClearPending(const std::string& name, ObjectState& obj) {
+  assert(obj.pending_writes > 0 && "only dirty objects are cleared");
+  obj.pending_writes = 0;
+  obj.pending_bytes = 0;
+  const auto dirty = dirty_keys_.find(FaastCache::HashKeyOf(name));
+  assert(dirty != dirty_keys_.end() && "dirty object missing from the index");
+  if (--dirty->second == 0) {
+    dirty_keys_.erase(dirty);
+  }
+}
+
 void StorageLayer::FlushKeyOwned(const std::string& instance,
                                  std::string_view key) {
+  if (!dirty_keys_.contains(key)) {
+    return;
+  }
   ForEachKeyEntry(objects_, key,
                   [&](const std::string& name, ObjectState& obj) {
                     if (obj.owner == instance && obj.pending_writes > 0) {
@@ -310,8 +346,12 @@ void StorageLayer::FlushKeyOwned(const std::string& instance,
                   });
 }
 
-Bytes StorageLayer::DirtyBytesOwnedBy(const std::string& instance,
+Bytes StorageLayer::DirtyBytesOwnedBy(InstanceId owner,
                                       std::string_view key) const {
+  if (!dirty_keys_.contains(key)) {
+    return 0;
+  }
+  const std::string& instance = InstanceName(owner);
   Bytes total = 0;
   ForEachKeyEntry(objects_, key,
                   [&](const std::string&, const ObjectState& obj) {
@@ -331,8 +371,8 @@ Bytes StorageLayer::total_dirty_bytes() const {
 }
 
 std::uint64_t StorageLayer::AppliedSeqOf(const std::string& instance) const {
-  const auto it = applied_seq_.find(instance);
-  return it != applied_seq_.end() ? it->second : 0;
+  const auto it = peers_.find(instance);
+  return it != peers_.end() ? it->second.applied_seq : 0;
 }
 
 std::uint64_t StorageLayer::VersionOf(const std::string& name) const {
@@ -349,37 +389,42 @@ std::optional<std::string> StorageLayer::OwnerOf(
   return it->second.owner;
 }
 
-void StorageLayer::ApplyLogAt(const std::string& instance) {
-  const auto cursor = applied_seq_.find(instance);
-  if (cursor == applied_seq_.end()) {
+Bytes StorageLayer::DirtyBytesOf(const std::string& name) const {
+  const auto it = objects_.find(name);
+  return it != objects_.end() ? it->second.pending_bytes : 0;
+}
+
+void StorageLayer::ApplyLogAt(InstanceId id) {
+  Peer* const peer = id < peers_by_id_.size() ? peers_by_id_[id] : nullptr;
+  if (peer == nullptr) {
     return;  // instance left before its replay fired
   }
   const SimTime now = sim_->Now();
   // Records append in seq order with monotone applies_at, so the replay
   // stops at the first not-yet-due record.
-  for (std::size_t i = cursor->second; i < log_.size(); ++i) {
+  for (std::size_t i = peer->applied_seq; i < log_.size(); ++i) {
     const AeRecord& record = log_[i];
     if (record.applies_at > now) {
       break;
     }
-    ApplyRecord(instance, record);
-    cursor->second = record.seq;
+    ApplyRecord(*peer, record);
+    peer->applied_seq = record.seq;
     ++stats_.ae_applied;
   }
 }
 
-void StorageLayer::ApplyRecord(const std::string& instance,
-                               const AeRecord& record) {
-  if (instance == record.source) {
+void StorageLayer::ApplyRecord(const Peer& peer, const AeRecord& record) {
+  if (peer.id == record.source) {
     return;  // its own write; cursor advances, nothing to do
   }
-  if (!cache_->ContainsLocal(instance, record.object)) {
+  if (!cache_->ContainsLocal(peer.id, record.object)) {
     return;  // no local copy to reconcile
   }
   const auto it = objects_.find(record.object);
   if (it == objects_.end()) {
     return;
   }
+  const std::string& instance = *peer.name;
   ObjectState& obj = it->second;
   const auto cit = obj.copies.find(instance);
   if (cit != obj.copies.end() && cit->second.version >= record.version) {
@@ -410,7 +455,7 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   // current version — intervening writes are folded into one refresh.
   SimTime refresh_done;
   if (!obj.owner.empty() && obj.owner != instance &&
-      instances_.count(obj.owner) > 0 &&
+      peers_.contains(obj.owner) &&
       cache_->ContainsLocal(obj.owner, record.object)) {
     refresh_done = network_->Transfer(obj.owner, instance, obj.size);
   } else {

@@ -23,14 +23,17 @@
 #define PALETTE_SRC_STORAGE_STORAGE_LAYER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cache/faast_cache.h"
+#include "src/common/instance_id.h"
+#include "src/common/string_hash.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -93,23 +96,32 @@ class StorageLayer {
 
   // Flushes dirty objects owned by `instance` whose hashing key equals
   // `key`, in name order (planner migration: dirty bytes become durable
-  // before the cached copy moves). Walks only the key's name range.
+  // before the cached copy moves). Returns at once when the key has no
+  // dirty object; otherwise walks only the key's name range.
   void FlushKeyOwned(const std::string& instance, std::string_view key);
 
-  // Dirty write-back bytes owned by `instance` under hashing key `key`
-  // (planner snapshot: moving a dirty color costs a flush first). Walks
-  // only the key's name range: O(log n + the key's objects).
-  Bytes DirtyBytesOwnedBy(const std::string& instance,
-                          std::string_view key) const;
+  // Dirty write-back bytes owned by `owner` under hashing key `key`
+  // (planner snapshot: moving a dirty color costs a flush first). One
+  // index probe when the key has no dirty object (the common case: a flush
+  // follows every write within max_dirty_age); otherwise a walk of the
+  // key's name range, O(log n + the key's objects).
+  Bytes DirtyBytesOwnedBy(InstanceId owner, std::string_view key) const;
   Bytes total_dirty_bytes() const;
 
   // Anti-entropy log cursors (tests; loadgen JSON).
   std::uint64_t latest_seq() const { return next_seq_ - 1; }
   std::uint64_t AppliedSeqOf(const std::string& instance) const;
 
+  // Applies every due log record past the cursor of live instance `id`; an
+  // instance that left since the replay was scheduled skips it. Each
+  // write's replay event calls this for its peers in name order; tests
+  // call it to replay the log one peer at a time.
+  void ApplyLogAt(InstanceId id);
+
   // Directory probes (tests).
   std::uint64_t VersionOf(const std::string& name) const;
   std::optional<std::string> OwnerOf(const std::string& name) const;
+  Bytes DirtyBytesOf(const std::string& name) const;
 
   const StorageStats& stats() const { return stats_; }
   const StorageConfig& config() const { return config_; }
@@ -146,9 +158,16 @@ class StorageLayer {
     std::string object;
     std::uint64_t version = 0;
     Bytes size = 0;
-    std::string source;  // owner at append time (refresh source)
+    InstanceId source = kInvalidInstanceId;  // owner at append time
     CoherenceMode mode = CoherenceMode::kNone;
     SimTime applies_at;  // append time + ae_lag
+  };
+  // A live instance and its anti-entropy cursor (the seq of the last
+  // record it applied).
+  struct Peer {
+    const std::string* name = nullptr;  // its key in peers_
+    InstanceId id = kInvalidInstanceId;
+    std::uint64_t applied_seq = 0;
   };
 
   CoherenceMode EffectiveMode(std::optional<CoherenceMode> override_mode) const {
@@ -161,9 +180,10 @@ class StorageLayer {
   // Makes `obj`'s pending write-back data durable, charged from `from`.
   void Flush(const std::string& from, const std::string& name,
              ObjectState& obj);
-  // Applies every due log record past `instance`'s cursor.
-  void ApplyLogAt(const std::string& instance);
-  void ApplyRecord(const std::string& instance, const AeRecord& record);
+  void ApplyRecord(const Peer& peer, const AeRecord& record);
+  // Drops `obj`'s pending write-back data (flushed or lost) and its
+  // dirty_keys_ count. OnWrite adds the count on the first pending write.
+  void ClearPending(const std::string& name, ObjectState& obj);
 
   Simulator* sim_;
   Network* network_;
@@ -173,9 +193,17 @@ class StorageLayer {
   TraceRecorder* trace_ = nullptr;
   StorageStats stats_;
   std::map<std::string, ObjectState> objects_;
-  std::set<std::string> instances_;
+  // Live instances in name order, and the same peers by interned id
+  // (null when the instance is not live). Map nodes never move, so the
+  // pointers stay valid until the peer leaves.
+  std::map<std::string, Peer> peers_;
+  std::vector<Peer*> peers_by_id_;
+  // Number of objects with pending write-back data, per hashing key (keys
+  // with none are absent).
+  std::unordered_map<std::string, std::size_t, TransparentStringHash,
+                     std::equal_to<>>
+      dirty_keys_;
   std::vector<AeRecord> log_;
-  std::map<std::string, std::uint64_t> applied_seq_;
   std::uint64_t next_seq_ = 1;
 };
 

@@ -44,12 +44,13 @@ std::uint64_t WallNanos() {
           .count());
 }
 
-// The per-mark refresh: the cluster-level families of the platform and
-// tier (per-worker families scale with the cluster and the sampler does
-// not track them) and the group's driver books.
-void RefreshGroupMetrics(const Group& group) {
+// Exports the platform and tier families and the group's driver books.
+// The per-mark refresh leaves out the per-worker families (they scale with
+// the cluster and the sampler does not track them); the end of the run
+// exports them too.
+void RefreshGroupMetrics(const Group& group, bool per_worker = false) {
   MetricsRegistry* m = group.metrics.get();
-  group.platform->ExportMetrics(m, std::string(), /*per_worker=*/false);
+  group.platform->ExportMetrics(m, std::string(), per_worker);
   if (group.tier != nullptr) {
     group.tier->ExportMetrics(m);
   }
@@ -200,10 +201,7 @@ void FinishTelemetry(const Scenario& s, std::vector<Group>* groups,
     group.sim.FlushObserverUpTo(horizon);
     group.sim.SetClockObserver(SimTime(), nullptr);
     group.series->set_refresh(nullptr);
-    group.platform->ExportMetrics(group.metrics.get());
-    if (group.tier != nullptr) {
-      group.tier->ExportMetrics(group.metrics.get());
-    }
+    RefreshGroupMetrics(group, /*per_worker=*/true);
     if (&group != &groups->front()) {
       t->metrics->MergeFrom(*group.metrics);
       t->series->MergeFrom(*group.series);

@@ -592,7 +592,7 @@ TEST(FaastCacheTest, KeyIndexMatchesBruteForceScanUnderRandomOps) {
             any = true;
           }
         });
-        ASSERT_EQ(cache.KeyBytes(instance, key), bytes)
+        ASSERT_EQ(cache.KeyBytes(InternInstance(instance), key), bytes)
             << "step " << step << " " << instance << " " << key;
         ASSERT_EQ(cache.HasKeyObject(instance, key), any)
             << "step " << step << " " << instance << " " << key;

@@ -278,8 +278,9 @@ bool KeepsColorTable(PolicyKind policy) {
 // planner move and a planner split:
 //   - the home is where the policy routes the color, and each output
 //     lands there, before and after the plan;
-//   - a moved color's objects follow it (table policies remap; hashing
-//     policies keep no table, so a move leaves their home in place);
+//   - a moved or split color's objects follow it to its new home (table
+//     policies remap; hashing policies keep no table, so a move leaves
+//     their home in place, while a split re-homes under every policy);
 //   - hybrid push binds a reader only to the home, and the pull matcher
 //     claims it there, so its read is local;
 //   - a steal's read is a remote hit served by the home.
@@ -336,12 +337,10 @@ TEST(ColorHomeTest, OutputsReadsAndStealsMeetAtTheColorHome) {
         ASSERT_TRUE(home.has_value());
         const bool rehomed = split || KeepsColorTable(policy);
         EXPECT_EQ(*home, rehomed ? other : *before);
-        if (!split) {
-          // A move hauls the color's objects to its new home (and a move
-          // the policy ignores hauls nothing).
-          EXPECT_TRUE(cached_at(*home, "hc___o0"));
-          EXPECT_EQ(platform.planner_moved_bytes(), rehomed ? kMiB : 0u);
-        }
+        // A move, or a split onto a new primary, hauls the color's objects
+        // to its new home (and a move the policy ignores hauls nothing).
+        EXPECT_TRUE(cached_at(*home, "hc___o0"));
+        EXPECT_EQ(platform.planner_moved_bytes(), rehomed ? kMiB : 0u);
 
         platform.Invoke(Writer(color, "hc___o1"),
                         [](const InvocationResult&) {});

@@ -7,10 +7,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cache/faast_cache.h"
+#include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/faas/platform.h"
 #include "src/obs/trace.h"
@@ -244,13 +248,15 @@ TEST(StorageLayerTest, KeyRangeWalkStopsAtPrefixBoundaries) {
   ASSERT_EQ(expected,
             (std::vector<std::string>{"c1", "c1____y", "c1___o0", "c1___o1"}));
   EXPECT_EQ(expected_bytes, 4u + 32u + 16u + 1u);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1"), expected_bytes);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w1", "c1"), 64u);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c10"), 2u);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1__x"), 8u);
+  const InstanceId w0 = InternInstance("w0");
+  const InstanceId w1 = InternInstance("w1");
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w0, "c1"), expected_bytes);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w1, "c1"), 64u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w0, "c10"), 2u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w0, "c1__x"), 8u);
   // A key containing the token is nobody's hashing key, even though an
   // object carries exactly that name.
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1___o0"), 0u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w0, "c1___o0"), 0u);
 
   rig.layer.FlushKeyOwned("w0", "c1");
   std::vector<std::string> flushed;
@@ -261,8 +267,8 @@ TEST(StorageLayerTest, KeyRangeWalkStopsAtPrefixBoundaries) {
     }
   }
   EXPECT_EQ(flushed, expected);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w0", "c1"), 0u);
-  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy("w1", "c1"), 64u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w0, "c1"), 0u);
+  EXPECT_EQ(rig.layer.DirtyBytesOwnedBy(w1, "c1"), 64u);
   EXPECT_EQ(rig.layer.total_dirty_bytes(), 64u + 2u + 8u + 128u);
 }
 
@@ -290,6 +296,372 @@ TEST(StorageLayerTest, AntiEntropyReplayAfterRestartReachesLatestSeq) {
   EXPECT_EQ(rig.layer.AppliedSeqOf("w0"), 0u);
   EXPECT_TRUE(rig.layer.stats().ae_applied > 0u);
   EXPECT_TRUE(rig.layer.stats().WriteBooksClose());
+}
+
+// The dirty-key index lets DirtyBytesOwnedBy and FlushKeyOwned return at
+// once for a key with no dirty object. Under seeded random writes in every
+// coherence mode, flush timers, key flushes, crash and graceful leaves,
+// rejoins and migration ownership changes, DirtyBytesOwnedBy must equal a
+// brute-force sum over the directory after every event.
+TEST(StorageLayerTest, DirtyKeyIndexMatchesBruteForceUnderRandomOps) {
+  StorageConfig config;
+  config.mode = CoherenceMode::kWriteBack;
+  config.max_dirty_age = SimTime::FromMillis(3);
+  config.ae_lag = SimTime::FromMillis(1);
+  Simulator sim;
+  Network network(&sim, NetworkConfig{});
+  FaastCache cache;
+  StorageLayer layer(&sim, &network, &cache, config, "store");
+  network.AddNode("store");
+  const std::vector<std::string> instances = {"w0", "w1", "w2", "w3"};
+  std::vector<bool> live(instances.size(), true);
+  for (const std::string& w : instances) {
+    network.AddNode(w);
+    cache.AddInstance(w);
+    layer.OnInstanceJoin(w);
+  }
+  // Name-order neighbours sharing text prefixes: "c10" and "c1__x" are
+  // keys of their own, "c1____y" hashes by "c1", and "c1___o0" is nobody's
+  // key.
+  const std::vector<std::string> names = {"c1",       "c1___o0", "c1___o1",
+                                          "c1____y",  "c10___o0", "c1__x",
+                                          "c2___o0",  "c0"};
+  const std::vector<std::string> keys = {"c1", "c10", "c1__x",  "c1___o0",
+                                         "c2", "c0",  "c",      "absent"};
+  const std::vector<std::optional<CoherenceMode>> modes = {
+      std::nullopt, CoherenceMode::kNone, CoherenceMode::kWriteThrough,
+      CoherenceMode::kWriteBack, CoherenceMode::kCausal};
+
+  Rng rng(20261021);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.NextBelow(n));
+  };
+  const auto pick_live = [&]() -> std::optional<std::size_t> {
+    std::vector<std::size_t> up;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i]) {
+        up.push_back(i);
+      }
+    }
+    if (up.empty()) {
+      return std::nullopt;
+    }
+    return up[pick(up.size())];
+  };
+  std::uint64_t flushed_keys = 0;
+  std::uint64_t crashes = 0;
+  const auto random_op = [&]() {
+    const std::optional<std::size_t> w = pick_live();
+    const std::string& name = names[pick(names.size())];
+    switch (rng.NextBelow(10)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4: {
+        if (!w.has_value()) {
+          return;
+        }
+        const std::string& home = instances[*w];
+        const Bytes size = 1 + rng.NextBelow(64);
+        cache.PutLocal(home, name, size);
+        layer.OnWrite(home, home, name, size, modes[pick(modes.size())],
+                      {}, sim.Now());
+        return;
+      }
+      case 5:
+        layer.FlushKeyOwned(instances[pick(instances.size())],
+                            keys[pick(keys.size())]);
+        ++flushed_keys;
+        return;
+      case 6: {
+        // Keep at least one instance up.
+        const std::size_t up = static_cast<std::size_t>(
+            std::count(live.begin(), live.end(), true));
+        if (!w.has_value() || up < 2) {
+          return;
+        }
+        const bool crashed = rng.NextBelow(2) == 0;
+        crashes += crashed ? 1 : 0;
+        layer.OnInstanceLeave(instances[*w], crashed);
+        cache.RemoveInstance(instances[*w]);
+        live[*w] = false;
+        return;
+      }
+      case 7: {
+        const std::size_t i = pick(instances.size());
+        if (!live[i]) {
+          cache.AddInstance(instances[i]);
+          layer.OnInstanceJoin(instances[i]);
+          live[i] = true;
+        }
+        return;
+      }
+      case 8:
+        // Migration source side: the owner's copy leaves.
+        if (w.has_value()) {
+          cache.EraseLocal(instances[*w], name);
+          layer.NoteErase(instances[*w], name);
+        }
+        return;
+      default:
+        // Migration landing: an ownerless object gets a new owner.
+        if (w.has_value()) {
+          cache.PutLocal(instances[*w], name, 8);
+          layer.NoteLanded(instances[*w], name);
+        }
+        return;
+    }
+  };
+  for (int tick = 0; tick < 4000; ++tick) {
+    sim.At(SimTime::FromMicros(250 * tick), [&random_op]() { random_op(); });
+  }
+
+  std::uint64_t step = 0;
+  std::uint64_t dirty_probes = 0;
+  const auto check = [&]() {
+    Bytes total = 0;
+    for (const std::string& name : names) {
+      total += layer.DirtyBytesOf(name);
+    }
+    ASSERT_EQ(layer.total_dirty_bytes(), total) << "step " << step;
+    for (const std::string& instance : instances) {
+      for (const std::string& key : keys) {
+        Bytes expected = 0;
+        for (const std::string& name : names) {
+          if (FaastCache::HashKeyOf(name) == key &&
+              layer.OwnerOf(name) == instance) {
+            expected += layer.DirtyBytesOf(name);
+          }
+        }
+        dirty_probes += expected > 0 ? 1 : 0;
+        ASSERT_EQ(layer.DirtyBytesOwnedBy(InternInstance(instance), key),
+                  expected)
+            << "step " << step << " " << instance << " " << key;
+      }
+    }
+  };
+  while (sim.Step()) {
+    check();
+    if (HasFatalFailure()) {
+      return;
+    }
+    ++step;
+  }
+  // The walk was exercised both ways: dirty keys, flushes, crash losses.
+  EXPECT_GT(dirty_probes, 1000u);
+  EXPECT_GT(layer.stats().flushes, 100u);
+  EXPECT_GT(layer.stats().writes_lost, 0u);
+  EXPECT_GT(flushed_keys, 100u);
+  EXPECT_GT(crashes, 10u);
+}
+
+// One direct rig for the anti-entropy reference test: its own cache,
+// network and layer, on a simulator shared with the other rig.
+struct AeRig {
+  AeRig(Simulator* sim, StorageConfig config,
+        const std::vector<std::string>& universe)
+      : network(sim, NetworkConfig{}),
+        layer(sim, &network, &cache, config, "store") {
+    network.AddNode("store");
+    for (const std::string& w : universe) {
+      network.AddNode(w);
+    }
+    layer.set_trace_recorder(&trace);
+  }
+  void Join(const std::string& w) {
+    cache.AddInstance(w);
+    layer.OnInstanceJoin(w);
+  }
+  void Leave(const std::string& w, bool crashed) {
+    layer.OnInstanceLeave(w, crashed);
+    cache.RemoveInstance(w);
+  }
+
+  Network network;
+  FaastCache cache;
+  StorageLayer layer;
+  TraceRecorder trace;
+};
+
+// Each write schedules one replay event that walks its peers; it must do
+// exactly what one replay event per peer did. The reference rig keeps the
+// per-peer schedule here, in the test: before each write (and each join's
+// catch-up) it schedules ApplyLogAt for every peer live at write time, in
+// name order, minus the home and the write's fresh replicas, so its own
+// replay events find nothing left to apply (checked). Membership churns
+// inside the ae_lag window: leaves, leaves then rejoins, fresh joins.
+// Under both invalidate and refresh (refresh books network transfers, so
+// the order shows in its completion times), the two rigs must agree after
+// every timestamp on cursors, AE counters, cache residency and the
+// storage trace.
+TEST(StorageLayerTest, OneReplayEventPerWriteMatchesPerPeerReference) {
+  for (const AntiEntropyAction action :
+       {AntiEntropyAction::kInvalidate, AntiEntropyAction::kRefresh}) {
+    SCOPED_TRACE(action == AntiEntropyAction::kInvalidate ? "invalidate"
+                                                          : "refresh");
+    StorageConfig config;
+    config.mode = CoherenceMode::kWriteThrough;
+    config.ae_action = action;
+    config.ae_lag = SimTime::FromMillis(2);
+    config.max_dirty_age = SimTime::FromMillis(3);
+    // Every event lands on the 500 us grid: ticks, replays, flush timers.
+    const auto tick = [](int t) { return SimTime::FromMicros(500.0 * t); };
+    constexpr int kTicks = 3000;
+    // w4 and w5 start outside the cluster: their first join is fresh.
+    const std::vector<std::string> universe = {"w0", "w1", "w2",
+                                               "w3", "w4", "w5"};
+    const std::vector<std::string> names = {"c1___o0", "c1___o1", "c2___o0",
+                                            "c3"};
+    Simulator sim;
+    AeRig rig(&sim, config, universe);
+    AeRig ref(&sim, config, universe);
+    std::set<std::string> live;
+    std::uint64_t ref_applied = 0;  // AE work done by reference replays
+
+    const auto ref_replay = [&](const std::string& peer) {
+      sim.At(SaturatingAdd(sim.Now(), config.ae_lag),
+             [&ref, &ref_applied, id = InternInstance(peer)]() {
+               const std::uint64_t before = ref.layer.stats().ae_applied;
+               ref.layer.ApplyLogAt(id);
+               ref_applied += ref.layer.stats().ae_applied - before;
+             });
+    };
+    const auto join = [&](const std::string& w) {
+      if (ref.layer.latest_seq() > 0) {
+        ref_replay(w);  // the join's catch-up
+      }
+      rig.Join(w);
+      ref.Join(w);
+      live.insert(w);
+    };
+    for (int i = 0; i < 4; ++i) {
+      join(universe[static_cast<std::size_t>(i)]);
+    }
+
+    Rng rng(action == AntiEntropyAction::kInvalidate ? 77 : 78);
+    const auto pick = [&rng](const auto& from) {
+      auto it = from.begin();
+      std::advance(it, rng.NextBelow(from.size()));
+      return *it;
+    };
+    std::uint64_t fresh_writes = 0;
+    std::uint64_t rejoins = 0;
+    std::uint64_t fresh_joins = 0;
+    std::set<std::string> ever_joined(live);
+    const auto random_op = [&]() {
+      const std::string w = pick(live);
+      const std::string name = pick(names);
+      const std::uint64_t op = rng.NextBelow(20);
+      if (op < 9) {
+        // A write at `w`, with up to two fresh replicas drawn from the
+        // whole universe (the home and dead instances included).
+        std::vector<std::string> fresh;
+        for (std::uint64_t n = rng.NextBelow(3); n > 0; --n) {
+          fresh.push_back(pick(universe));
+        }
+        fresh_writes += fresh.empty() ? 0 : 1;
+        const Bytes size = 1 + rng.NextBelow(4 * kMiB);
+        for (AeRig* r : {&rig, &ref}) {
+          r->cache.PutLocal(w, name, size);
+          for (const std::string& replica : fresh) {
+            if (live.contains(replica)) {
+              r->cache.PutLocal(replica, name, size);
+            }
+          }
+        }
+        rig.layer.OnWrite(w, w, name, size, std::nullopt, fresh, sim.Now());
+        for (const std::string& peer : live) {
+          if (peer != w && std::find(fresh.begin(), fresh.end(), peer) ==
+                               fresh.end()) {
+            ref_replay(peer);
+          }
+        }
+        ref.layer.OnWrite(w, w, name, size, std::nullopt, fresh, sim.Now());
+      } else if (op < 15) {
+        // A miss fill: a peer copy for anti-entropy to reconcile.
+        const Bytes size = 1 + rng.NextBelow(4 * kMiB);
+        for (AeRig* r : {&rig, &ref}) {
+          if (!r->cache.ContainsLocal(w, name)) {
+            r->cache.PutLocal(w, name, size);
+            r->layer.NoteCopy(w, name);
+          }
+        }
+      } else if (op < 17) {
+        if (live.size() > 2) {
+          const bool crashed = rng.NextBelow(2) == 0;
+          rig.Leave(w, crashed);
+          ref.Leave(w, crashed);
+          live.erase(w);
+        }
+      } else {
+        const std::string joiner = pick(universe);
+        if (!live.contains(joiner)) {
+          (ever_joined.contains(joiner) ? rejoins : fresh_joins) += 1;
+          ever_joined.insert(joiner);
+          join(joiner);
+        }
+      }
+    };
+    for (int t = 0; t < kTicks; ++t) {
+      sim.At(tick(t), [&random_op]() { random_op(); });
+    }
+
+    const auto compare = [&]() {
+      const StorageStats& a = rig.layer.stats();
+      const StorageStats& b = ref.layer.stats();
+      // The reference rig's own replay events applied nothing.
+      ASSERT_EQ(b.ae_applied, ref_applied);
+      ASSERT_EQ(a.ae_applied, b.ae_applied);
+      ASSERT_EQ(a.ae_invalidations, b.ae_invalidations);
+      ASSERT_EQ(a.ae_refreshes, b.ae_refreshes);
+      ASSERT_EQ(a.ae_refresh_bytes, b.ae_refresh_bytes);
+      ASSERT_EQ(a.coherence_bytes, b.coherence_bytes);
+      for (const std::string& w : universe) {
+        ASSERT_EQ(rig.layer.AppliedSeqOf(w), ref.layer.AppliedSeqOf(w)) << w;
+        for (const std::string& name : names) {
+          ASSERT_EQ(rig.cache.ContainsLocal(w, name),
+                    ref.cache.ContainsLocal(w, name))
+              << w << " " << name;
+        }
+      }
+      const std::vector<StorageTrace>& x = rig.trace.storage_ops();
+      const std::vector<StorageTrace>& y = ref.trace.storage_ops();
+      ASSERT_EQ(x.size(), y.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        ASSERT_EQ(x[i].object, y[i].object) << i;
+        ASSERT_EQ(x[i].instance, y[i].instance) << i;
+        ASSERT_EQ(x[i].op, y[i].op) << i;
+        ASSERT_EQ(x[i].bytes, y[i].bytes) << i;
+        ASSERT_EQ(x[i].start, y[i].start) << i;
+        ASSERT_EQ(x[i].end, y[i].end) << i;
+      }
+    };
+    // A checkpoint just after each grid point, once every event at that
+    // point (both rigs' replays included) has run.
+    int checked = 0;
+    for (int t = 0; t < kTicks + 16; ++t) {
+      sim.At(tick(t) + SimTime::FromNanos(1), [&]() {
+        compare();
+        ++checked;
+      });
+    }
+    while (sim.Step()) {
+      if (HasFatalFailure()) {
+        FAIL() << "checkpoint " << checked;
+      }
+    }
+    EXPECT_EQ(checked, kTicks + 16);
+    EXPECT_GT(fresh_writes, 100u);
+    EXPECT_GT(rejoins, 10u);
+    EXPECT_EQ(fresh_joins, 2u);
+    EXPECT_GT(rig.layer.stats().ae_applied, 1000u);
+    if (action == AntiEntropyAction::kInvalidate) {
+      EXPECT_GT(rig.layer.stats().ae_invalidations, 100u);
+    } else {
+      EXPECT_GT(rig.layer.stats().ae_refreshes, 100u);
+    }
+  }
 }
 
 TEST(TieredStoreTest, PromotesAfterThresholdAndDemotesLru) {

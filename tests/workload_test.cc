@@ -716,7 +716,9 @@ TEST(MonolithicPinTest, HybridWriteBackWithPlanner) {
                   nullptr, &planner);
   EXPECT_GT(run.planner_rounds, 0u);
   EXPECT_GT(run.storage.writes_total, 0u);
-  ExpectPinned(run, {0xd62daf03d30f1c70ULL, 3645, 613, 613, 0, 0, 0});
+  // 2925 events: one anti-entropy replay event per write, not one per
+  // peer (the samples digest and books are the per-peer schedule's).
+  ExpectPinned(run, {0xd62daf03d30f1c70ULL, 2925, 613, 613, 0, 0, 0});
   EXPECT_EQ(run.planner_moves, 25u);
   EXPECT_EQ(run.pulls, 203u);
 }
@@ -760,7 +762,13 @@ TEST(MonolithicPinTest, TelemetryOn) {
   // The exported artifacts are pinned byte for byte.
   EXPECT_EQ(Fnv1a64(run.telemetry.series->ToCsv()), 0x2e661adb5c97fa4dULL);
   EXPECT_EQ(Fnv1a64(ToPrometheusText(*run.telemetry.metrics)),
-            0x74f6f7c8895de402ULL);
+            0x0af57847d66d312aULL);
+  // The end-of-run registry carries the final driver books, not the last
+  // sampling mark's.
+  MetricsRegistry& metrics = *run.telemetry.metrics;
+  EXPECT_EQ(metrics.counter("driver.submitted").value(), run.driver_submitted);
+  EXPECT_EQ(metrics.counter("driver.completed").value(), run.driver_completed);
+  EXPECT_EQ(metrics.counter("driver.rejected").value(), run.driver_rejected);
   EXPECT_EQ(Fnv1a64(run.telemetry.alerts->ToLogLines()),
             0x4f61c7f0f18fe6c3ULL);
 }
